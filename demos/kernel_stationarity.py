@@ -25,8 +25,7 @@ def double_exponential():
     draws = np.empty(n)
     accepted = 0
     for i in range(n):
-        q, info = nshmc_step(q, rng, lambda v: 0.0,
-                             lambda v: np.zeros_like(v),
+        q, info = nshmc_step(q, rng, lambda v: (0.0, np.zeros_like(v)),
                              scale, 0.4, 8)
         accepted += info["accepted"]
         draws[i] = q[0]
@@ -46,8 +45,8 @@ def correlated_gaussian():
     xs = np.empty((n, 3))
     for i in range(n):
         # l1 scale 1e15 turns the soft-threshold into the identity
-        q, _ = nshmc_step(q, rng, lambda v: 0.5 * float(v @ P @ v),
-                          lambda v: P @ v, 1e15, 0.6, 8)
+        q, _ = nshmc_step(q, rng, lambda v: (0.5 * float(v @ P @ v), P @ v),
+                          1e15, 0.6, 8)
         xs[i] = q
     C = np.cov(xs.T)
     err = np.max(np.abs(C - S)) / np.max(np.abs(S))

@@ -21,10 +21,12 @@ __all__ = [
     "mexican_hat",
     "mmelu",
     "mmelu_grads",
+    "mmelu_slope",
     "zoo_eval",
     "zoo_grad",
     "activation_value",
     "activation_grads",
+    "activation_slope",
     "default_params",
     "trainable_names",
     "registered_names",
@@ -100,16 +102,26 @@ def mmelu_grads(x, p: ActivationParams):
     indicator of x > 0.  All four pieces are 0 at their kinks.
     """
     x = np.asarray(x, dtype=np.float64)
-    d = x - p.gamma
-    inside = np.abs(d) < p.b
-    sgn = np.sign(d)
-    hat_slope = np.where(inside, -sgn, 0.0)
-    relu_slope = (x > 0).astype(np.float64)
-    d_x = p.c * hat_slope + (1.0 - p.c) * relu_slope
+    d_x, inside, sgn = _mmelu_slope_parts(x, p)
     d_c = mexican_hat(x, p.gamma, p.b) - relu(x)
     d_gamma = p.c * np.where(inside, sgn, 0.0)
     d_b = p.c * inside.astype(np.float64)
     return d_x, d_c, d_gamma, d_b
+
+
+def mmelu_slope(x, p: ActivationParams):
+    """d/dx of the blend alone; bitwise equal to mmelu_grads(x, p)[0]."""
+    return _mmelu_slope_parts(np.asarray(x, dtype=np.float64), p)[0]
+
+
+def _mmelu_slope_parts(x, p):
+    # (d/dx, hat-support mask, sign(x - gamma)): the pieces both gradient
+    # functions share, computed one way so the slopes agree bit for bit
+    d = x - p.gamma
+    inside = np.abs(d) < p.b
+    sgn = np.sign(d)
+    d_x = p.c * np.where(inside, -sgn, 0.0) + (1.0 - p.c) * (x > 0).astype(np.float64)
+    return d_x, inside, sgn
 
 
 def melu_grid(k: int):
@@ -357,3 +369,12 @@ def activation_grads(name: str, params, x):
         d_x, d_c, d_gamma, d_b = mmelu_grads(x, p)
         return d_x, {"c": d_c, "gamma": d_gamma, "b": d_b}
     return zoo_grad(name, params, x)
+
+
+def activation_slope(name: str, params, x):
+    """As activation_grads but returns d/dx only, for callers that need no
+    parameter gradients."""
+    if name == "mmelu":
+        p = params if isinstance(params, ActivationParams) else ActivationParams(**params)
+        return mmelu_slope(x, p)
+    return zoo_grad(name, params, x)[0]

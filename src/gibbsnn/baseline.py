@@ -186,7 +186,8 @@ def train_baseline(net: Network, cfg: BaselineConfig, train, test, seed: int = 0
                     masks[li] = keep.astype(np.float64) / (1.0 - rate)
             try:
                 gw, ga, loss = net.backward(w, act, xb, yb, cfg.loss_kind,
-                                            average=True, dropout=masks)
+                                            average=True, dropout=masks,
+                                            param_grads=bool(t_names))
             except NumericalError:
                 diverged = True
                 break

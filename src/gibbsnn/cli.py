@@ -159,11 +159,14 @@ def cmd_baseline(args) -> int:
     w, act, history = train_baseline(net, bcfg, train, test, seed)
     write_history(history, os.path.join(out, "history.csv"))
 
-    epochs = sorted({r["epoch"] for r in history})
+    # a diverged row carries no metrics; the curves and the checkpoint's
+    # iteration count cover the completed epochs only
+    completed = [r for r in history if not r.get("diverged")]
+    epochs = sorted({r["epoch"] for r in completed})
     for key in ("accuracy", "loss"):
         series, labels = [], []
         for split_name in ("train", "test"):
-            rows = [r for r in history if r["split"] == split_name]
+            rows = [r for r in completed if r["split"] == split_name]
             series.append([r[key] for r in rows])
             labels.append(split_name)
         svgplot.curves_svg(epochs, series, labels, f"{key} per epoch",
@@ -173,9 +176,9 @@ def cmd_baseline(args) -> int:
                   "version": __version__}
     ckpt.save_checkpoint(
         os.path.join(out, "checkpoint.json"), net.spec, w, act, None,
-        iteration=bcfg.epochs, provenance=provenance, activation_name=activation)
+        iteration=len(epochs), provenance=provenance, activation_name=activation)
 
-    diverged = any(r.get("diverged") for r in history)
+    diverged = len(completed) < len(history)
     if diverged:
         print("training diverged; checkpoint holds the last finite state")
         return EXIT_NUMERIC

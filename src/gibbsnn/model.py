@@ -137,8 +137,15 @@ class BayesModel:
         self.loss_kind = loss_kind
         self.paper_literal = paper_literal
         self.n_data = int(self.inputs.shape[0])
+        self.targets = net.targets(self.labels)  # float, one-hot for class labels
 
     # -- data term ----------------------------------------------------------
+
+    def _batch(self, subset):
+        # inputs, targets and the n_total/n_subset rescaling of a subset
+        if subset is None:
+            return self.inputs, self.targets, 1.0
+        return self.inputs[subset], self.targets[subset], self.n_data / len(subset)
 
     def data_energy(self, w: list, act, subset=None) -> float:
         """Negative log-likelihood up to constants: the batch loss.
@@ -148,30 +155,21 @@ class BayesModel:
         """
         if self.n_data == 0:
             return 0.0
-        if subset is None:
-            x, y = self.inputs, self.labels
-            scale = 1.0
-        else:
-            x, y = self.inputs[subset], self.labels[subset]
-            scale = self.n_data / len(subset)
+        x, y, scale = self._batch(subset)
         return scale * self.net.loss(w, act, x, y, self.loss_kind)
 
     def energy_grad(self, w: list, act, subset=None):
-        """(grad_w, grad_act, energy) of the data term, same scaling rules."""
+        """(energy, grad_w): the data term and its weight gradient under
+        the same scaling rules; the energy is bitwise what data_energy
+        returns.  Activation-parameter gradients are not computed.
+        """
         if self.n_data == 0:
-            return [np.zeros_like(wi) for wi in w], None, 0.0
-        if subset is None:
-            x, y = self.inputs, self.labels
-            scale = 1.0
-        else:
-            x, y = self.inputs[subset], self.labels[subset]
-            scale = self.n_data / len(subset)
-        gw, gact, loss = self.net.backward(w, act, x, y, self.loss_kind)
+            return 0.0, [np.zeros_like(wi) for wi in w]
+        x, y, scale = self._batch(subset)
+        gw, _, loss = self.net.backward(w, act, x, y, self.loss_kind, param_grads=False)
         if scale != 1.0:
             gw = [scale * g for g in gw]
-            if gact is not None:
-                gact = {k: scale * v for k, v in gact.items()}
-        return gw, gact, scale * loss
+        return scale * loss, gw
 
     # -- joint density ------------------------------------------------------
 

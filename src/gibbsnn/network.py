@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .activations import ActivationParams, activation_grads, activation_value
+from .activations import ActivationParams, activation_grads, activation_slope, activation_value
 from .errors import NumericalError, ShapeError
 
 KERNEL = 3
@@ -131,6 +131,7 @@ class Network:
         self.spec = spec
         self.weight_lengths = []  # K_l per weighted layer
         self.weight_shapes = []  # (kernel shape, bias shape) per weighted layer
+        self.kernel_sizes = []  # kernel entries per weighted layer (bias follows)
         self.layer_shapes = []  # output shape per layer (sample-local, no batch dim)
         self.activation_name = None
         self.n_activation_sites = 0
@@ -143,6 +144,7 @@ class Network:
                 if shape != (n_in,):
                     raise ShapeError(f"{where}: expected input ({n_in},), got {shape}")
                 self.weight_shapes.append(((n_in, n_out), (n_out,)))
+                self.kernel_sizes.append(n_in * n_out)
                 self.weight_lengths.append(n_in * n_out + n_out)
                 shape = (n_out,)
             elif layer.kind == "conv2d":
@@ -150,6 +152,7 @@ class Network:
                 if len(shape) != 3 or shape[2] != in_c:
                     raise ShapeError(f"{where}: expected input (H, W, {in_c}), got {shape}")
                 self.weight_shapes.append(((out_c, in_c, KERNEL, KERNEL), (out_c,)))
+                self.kernel_sizes.append(out_c * in_c * KERNEL * KERNEL)
                 self.weight_lengths.append(out_c * in_c * KERNEL * KERNEL + out_c)
                 shape = (shape[0], shape[1], out_c)
             elif layer.kind == "maxpool2x2":
@@ -192,9 +195,14 @@ class Network:
         return out
 
     def _unpack(self, flat: np.ndarray, idx: int):
-        kshape, bshape = self.weight_shapes[idx]
-        nk = int(np.prod(kshape))
-        return flat[:nk].reshape(kshape), flat[nk:]
+        nk = self.kernel_sizes[idx]
+        return flat[:nk].reshape(self.weight_shapes[idx][0]), flat[nk:]
+
+    def targets(self, y) -> np.ndarray:
+        """Float targets for a batch of labels: integer class labels become
+        one-hot rows; other labels must already match the output shape."""
+        y = np.asarray(y)
+        return _prepare_targets(y, len(y), self.layer_shapes[-1], False)
 
     def _site_params(self, act_params, site: int):
         if isinstance(act_params, (list, tuple)):
@@ -270,7 +278,7 @@ class Network:
             if check and not np.all(np.isfinite(h)):
                 bad = h[~np.isfinite(h)]
                 raise NumericalError(
-                    f"non-finite value {bad.flat[0]!r} after layer {i} ({layer.kind})"
+                    f"non-finite value {float(bad.flat[0])} after layer {i} ({layer.kind})"
                 )
         return h, caches
 
@@ -285,6 +293,7 @@ class Network:
         loss_kind: str = "cross-entropy",
         average: bool = False,
         dropout: dict | None = None,
+        param_grads: bool = True,
     ):
         """Loss and gradients of the whole batch.
 
@@ -294,6 +303,10 @@ class Network:
         data term: squared-error sum_i (yhat_i - y_i)^2 or cross-entropy
         -sum_i y_i log yhat_i.  dropout maps layer index to a mask applied
         to that layer's output (training-time regularization path).
+
+        With param_grads=False the activation layers pass back their input
+        slope only and grad_act is None; grad_w and loss are bitwise the
+        same as with the full pass.
         """
         if loss_kind not in ("squared-error", "cross-entropy"):
             raise ValueError(f"unknown loss kind {loss_kind!r}")
@@ -317,11 +330,13 @@ class Network:
 
         grad_w = [np.zeros_like(wi) for wi in w]
         per_site = isinstance(act_params, (list, tuple))
-        grad_act = (
-            [_zero_param_grads(self.activation_name, p) for p in act_params]
-            if per_site
-            else _zero_param_grads(self.activation_name, act_params)
-        )
+        grad_act = None
+        if param_grads:
+            grad_act = (
+                [_zero_param_grads(self.activation_name, p) for p in act_params]
+                if per_site
+                else _zero_param_grads(self.activation_name, act_params)
+            )
 
         wi = len(w)
         for i in range(len(self.spec.layers) - 1, -1, -1):
@@ -350,13 +365,16 @@ class Network:
             elif layer.kind == "activation":
                 h_in, ai = cache
                 params = self._site_params(act_params, ai)
-                d_x, d_params = activation_grads(layer.activation, params, h_in)
-                target = grad_act[ai] if per_site else grad_act
-                for name, dval in d_params.items():
-                    if dval.ndim == g.ndim:
-                        target[name] += float(np.sum(g * dval))
-                    else:  # vector parameter: leading axis indexes components
-                        target[name] += np.tensordot(dval, g, axes=g.ndim)
+                if param_grads:
+                    d_x, d_params = activation_grads(layer.activation, params, h_in)
+                    target = grad_act[ai] if per_site else grad_act
+                    for name, dval in d_params.items():
+                        if dval.ndim == g.ndim:
+                            target[name] += float(np.sum(g * dval))
+                        else:  # vector parameter: leading axis indexes components
+                            target[name] += np.tensordot(dval, g, axes=g.ndim)
+                else:
+                    d_x = activation_slope(layer.activation, params, h_in)
                 g = g * d_x
             elif layer.kind == "softmax":
                 p = cache
@@ -364,7 +382,7 @@ class Network:
             if not np.all(np.isfinite(g)):
                 bad = g[~np.isfinite(g)]
                 raise NumericalError(
-                    f"non-finite gradient {bad.flat[0]!r} at layer {i} ({layer.kind})"
+                    f"non-finite gradient {float(bad.flat[0])} at layer {i} ({layer.kind})"
                 )
         return grad_w, grad_act, loss
 

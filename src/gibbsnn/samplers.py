@@ -105,10 +105,11 @@ def mh_step(value: float, logdens, rng: np.random.Generator, scale: float,
 # --- non-smooth HMC --------------------------------------------------------
 
 
-def nshmc_step(q, rng, smooth_energy, smooth_grad, l1_scale, step,
-               n_leapfrog, divergence_threshold=1000.0, energy0=None):
+def nshmc_step(q, rng, energy_grad, l1_scale, step, n_leapfrog,
+               divergence_threshold=1000.0):
     """One proximal-leapfrog HMC trajectory on potential
-    U(q) = smooth_energy(q) + sum_i |q_i| / l1_scale_i.
+    U(q) = E(q) + sum_i |q_i| / l1_scale_i, where energy_grad(q) returns
+    the pair (E(q), grad E(q)).
 
     The l1 term enters through its Moreau envelope with smoothing mu =
     step^2/2, whose gradient is evaluated via the proximity operator:
@@ -120,15 +121,16 @@ def nshmc_step(q, rng, smooth_energy, smooth_grad, l1_scale, step,
     test against the exact U keeps the stationary law correct whatever
     the discretization does; the surrogate only affects acceptance.
 
+    energy_grad is called n_leapfrog + 1 times, once per position: the
+    first call gives the initial Hamiltonian's energy and the last the
+    final one's, so no separate energy evaluation is made.
+
     Returns (q_new, info) with info keys: accepted, divergent, delta_h,
-    accept_prob, energy (smooth energy at the returned point).
+    accept_prob, energy (E at the returned point).
     """
     q = np.asarray(q, dtype=np.float64)
     l1_scale = np.broadcast_to(np.asarray(l1_scale, dtype=np.float64), q.shape)
     p = rng.standard_normal(q.shape)
-
-    e0 = smooth_energy(q) if energy0 is None else energy0
-    h0 = e0 + float(np.sum(np.abs(q) / l1_scale)) + 0.5 * float(p @ p)
     mu = 0.5 * step * step
     tau = mu / l1_scale
 
@@ -136,24 +138,27 @@ def nshmc_step(q, rng, smooth_energy, smooth_grad, l1_scale, step,
         # d/dq of the Moreau envelope: sign(q)/lam clipped to q/mu near 0
         return (qv - soft_threshold(qv, tau)) / mu
 
-    qn = q.copy()
-    g = smooth_grad(qn) + envelope_grad(qn)
+    e0, g = energy_grad(q)
+    h0 = e0 + float(np.sum(np.abs(q) / l1_scale)) + 0.5 * float(p @ p)
+    qn, e1 = q, e0
+    g = g + envelope_grad(qn)
     for _ in range(n_leapfrog):
         p = p - 0.5 * step * g
         qn = qn + step * p
-        g = smooth_grad(qn) + envelope_grad(qn)
+        e1, g = energy_grad(qn)
+        g = g + envelope_grad(qn)
         p = p - 0.5 * step * g
         if not np.all(np.isfinite(p)):
             break
 
-    e1 = smooth_energy(qn)
     h1 = e1 + float(np.sum(np.abs(qn) / l1_scale)) + 0.5 * float(p @ p)
     dh = h1 - h0
 
     if not np.isfinite(dh) or abs(dh) > divergence_threshold:
         return q, {"accepted": False, "divergent": True, "delta_h": dh,
                    "accept_prob": 0.0, "energy": e0}
-    a = min(1.0, math.exp(-dh))
+    # exp(min(0, -dh)) never overflows, however far H falls
+    a = math.exp(min(0.0, -dh))
     if rng.random() < a:
         return qn, {"accepted": True, "divergent": False, "delta_h": dh,
                     "accept_prob": a, "energy": e1}
@@ -440,25 +445,22 @@ def gibbs_sweep(model: BayesModel, chain: ChainState, cfg: SamplerConfig,
         l1_scale = np.repeat(st.hyper.lam, lengths)
         act = st.act
 
-        def smooth_energy(qv):
-            return _guarded_energy(model, split_weights(qv, lengths), act, subset)
-
-        def smooth_grad(qv):
+        def energy_grad(qv):
+            # a failed or non-finite evaluation reads as an infinite energy
+            # and a NaN gradient, which the trajectory reports as divergent
             try:
-                gw, _, _ = model.energy_grad(split_weights(qv, lengths), act, subset)
+                e, gw = model.energy_grad(split_weights(qv, lengths), act, subset)
             except NumericalError:
-                return np.full(qv.shape, np.nan)
-            return concat_weights(gw)
+                return np.inf, np.full(qv.shape, np.nan)
+            return (e if np.isfinite(e) else np.inf), concat_weights(gw)
 
-        q0 = concat_weights(st.w)
-        e0 = chain.energy if np.isfinite(chain.energy) else None
         q1, info = nshmc_step(
-            q0, rng, smooth_energy, smooth_grad, l1_scale,
+            concat_weights(st.w), rng, energy_grad, l1_scale,
             chain.step_size, cfg.leapfrog_steps,
-            divergence_threshold=cfg.divergence_threshold, energy0=e0)
+            divergence_threshold=cfg.divergence_threshold)
         if info["accepted"]:
             st.w = split_weights(q1, lengths)
-        chain.energy = info["energy"]
+            chain.energy = info["energy"]
         chain.proposal_counts["w"] += 1
         chain.accept_counts["w"] += info["accepted"]
         chain.divergences += info["divergent"]

@@ -80,8 +80,11 @@ class _Axes:
 
 
 def _limits(arrays):
-    lo = min(float(np.min(a)) for a in arrays if len(a))
-    hi = max(float(np.max(a)) for a in arrays if len(a))
+    arrays = [a for a in arrays if len(a)]
+    if not arrays:  # nothing to plot: a unit box keeps the axes finite
+        return 0.0, 1.0
+    lo = min(float(np.min(a)) for a in arrays)
+    hi = max(float(np.max(a)) for a in arrays)
     if lo == hi:
         lo, hi = lo - 0.5, hi + 0.5
     return lo, hi

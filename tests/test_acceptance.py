@@ -211,7 +211,7 @@ class TestAcceptance:
         q = np.array([0.3])
         draws = np.empty(100000)
         for i in range(draws.size):
-            q, _ = nshmc_step(q, rng, zero, zgrad, 0.7, 0.4, 8)
+            q, _ = nshmc_step(q, rng, lambda x: (zero(x), zgrad(x)), 0.7, 0.4, 8)
             draws[i] = q[0]
         ks = ks_distance(draws, lambda x: laplace_cdf(x, 0.0, 0.7))
 
@@ -225,7 +225,7 @@ class TestAcceptance:
         xs = np.empty((100000, 3))
         for i in range(xs.shape[0]):
             # enormous l1 scale makes the non-smooth term negligible
-            v, _ = nshmc_step(v, rng, energy, grad, 1e15, 0.6, 8)
+            v, _ = nshmc_step(v, rng, lambda x: (energy(x), grad(x)), 1e15, 0.6, 8)
             xs[i] = v
         cov_err = float(np.max(np.abs(np.cov(xs.T) - S)) / np.max(np.abs(S)))
         dt = time.perf_counter() - t0

@@ -17,6 +17,7 @@ from gibbsnn.activations import (
     mexican_hat,
     mmelu,
     mmelu_grads,
+    mmelu_slope,
     registered_names,
     trainable_names,
     zoo_eval,
@@ -125,6 +126,23 @@ class TestMmeluGrads:
         np.testing.assert_allclose(d_c, fd_c, atol=1e-6)
         np.testing.assert_allclose(d_g, fd_g, atol=1e-6)
         np.testing.assert_allclose(d_b, fd_b, atol=1e-6)
+
+
+class TestMmeluSlope:
+    def test_bitwise_equal_to_full_grads(self):
+        """The slope-only path reproduces d/dx of mmelu_grads bit for bit,
+        kinks included: x = 0, x = gamma and the support edges gamma +- b."""
+        rng = np.random.default_rng(4)
+        for c, gamma, b in ((0.5, 0.0, 1.0), (0.3, -0.4, 0.7), (0.0, 0.2, 1.5),
+                            (1.0, 0.25, 0.5), (0.77, 1.3, 0.0), (0.41, -2.0, 3.0)):
+            p = ActivationParams(c=c, gamma=gamma, b=b)
+            kinks = np.array([0.0, -0.0, gamma, gamma - b, gamma + b])
+            grid = np.concatenate([kinks, np.linspace(-4.0, 4.0, 801),
+                                   rng.normal(scale=2.0, size=(50,))])
+            for x in (grid, grid.reshape(8, -1)[:, ::3], 0.0, gamma + b):
+                got = mmelu_slope(x, p)
+                want = mmelu_grads(x, p)[0]
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (c, gamma, b)
 
 
 class TestZoo:

@@ -5,6 +5,7 @@ import contextlib
 import csv
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -327,6 +328,45 @@ class TestBaselineCommand:
             rows = list(csv.reader(fh))
         assert rows == [["epoch", "split", "accuracy", "loss"],
                         ["0", "train", "nan", "nan"]]
+        # no epoch completed: the checkpoint says so, and the curves are empty
+        assert json.loads((out / "checkpoint.json").read_text())["iteration"] == 0
+        assert self._curve_lengths(out) == {"accuracy": [0, 0], "loss": [0, 0]}
+
+    def test_later_divergence_plots_completed_epochs(self, tmp_path):
+        """A run that completes epoch 0 and diverges in epoch 1 records one
+        completed epoch in the checkpoint and plots one point per split."""
+        doc = self._doc(activation="prelu", optimizer="sgd",
+                        learning_rate=1.0, epochs=6, loss="squared-error")
+        doc["dataset"]["n"] = 64
+        doc["network"] = {"layers": [
+            {"kind": "dense", "dims": [2, 4]},
+            {"kind": "activation", "activation": "prelu"},
+            {"kind": "dense", "dims": [4, 2]},
+        ]}
+        doc["seed"] = 0
+        cfg = _write(tmp_path / "b.json", doc)
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            code, _ = _run(["baseline", "--config", cfg, "--out", str(out)])
+        assert code == EXIT_NUMERIC
+        with open(out / "history.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [r[:2] for r in rows[1:]] == [["0", "train"], ["0", "test"], ["1", "train"]]
+        assert rows[-1][2:] == ["nan", "nan"]
+        assert json.loads((out / "checkpoint.json").read_text())["iteration"] == 1
+        assert self._curve_lengths(out) == {"accuracy": [1, 1], "loss": [1, 1]}
+
+    @staticmethod
+    def _curve_lengths(out):
+        """Points per series (train, test) in each baseline plot; a plot
+        with a nan coordinate or axis label fails instead."""
+        lengths = {}
+        for key in ("accuracy", "loss"):
+            svg = (out / "plots" / f"{key}.svg").read_text()
+            assert "nan" not in svg, key
+            lengths[key] = [len(m.split()) for m in
+                            re.findall(r'<polyline points="([^"]*)"', svg)]
+        return lengths
 
     def test_mmelu_baseline_allowed(self, tmp_path):
         """The comparison arm may also train the hat/ReLU mixture."""

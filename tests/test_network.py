@@ -8,7 +8,7 @@ kinks so the subgradient convention never enters.
 import numpy as np
 import pytest
 
-from gibbsnn.activations import ActivationParams
+from gibbsnn.activations import ActivationParams, default_params, registered_names
 from gibbsnn.errors import NumericalError, ShapeError
 from gibbsnn.network import (
     Network,
@@ -90,6 +90,22 @@ class TestForward:
         w = [np.full(n, 1e308) for n in net.weight_lengths]
         with np.errstate(over="ignore"), pytest.raises(NumericalError):
             net.forward(w, ActivationParams(), np.full(2, 1e30))
+
+    def test_nonfinite_message_prints_plain_float(self):
+        """The offending value reads as a plain float, not a numpy repr."""
+        net = Network(NetworkSpec((dense(1, 1), act("relu"), dense(1, 1)), (1,), 1))
+        w = [np.array([1e200, 0.0]), np.array([1e200, 0.0])]
+        with np.errstate(over="ignore"), pytest.raises(NumericalError) as err:
+            net.forward(w, {}, np.ones((1, 1)))
+        assert str(err.value) == "non-finite value inf after layer 2 (dense)"
+
+    def test_nonfinite_gradient_message_prints_plain_float(self):
+        net = Network(NetworkSpec((dense(1, 1),), (1,), 1))
+        w = [np.array([1.0, 0.0])]
+        with np.errstate(over="ignore"), pytest.raises(NumericalError) as err:
+            net.backward(w, None, np.array([[1e308]]), np.array([[-1e308]]),
+                         loss_kind="squared-error")
+        assert str(err.value) == "non-finite gradient inf at layer 0 (dense)"
 
     def test_forward_deterministic(self):
         rng = np.random.default_rng(5)
@@ -217,6 +233,28 @@ class TestBackward:
                       - net.loss(w, ActivationParams(**dn), x, y)) / (2 * h)
                 np.testing.assert_allclose(grad_act[name], fd, rtol=1e-4, atol=1e-7,
                                            err_msg=f"c={c} d/d{name}")
+
+    @pytest.mark.parametrize("loss_kind", ["cross-entropy", "squared-error"])
+    def test_weights_only_pass_bitwise_equal(self, loss_kind):
+        """param_grads=False skips the activation-parameter gradients and
+        leaves grad_w and the loss bit for bit as the full pass has them,
+        for every registered activation."""
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(12, 3))
+        y = rng.integers(0, 2, size=12)
+        if loss_kind == "squared-error":
+            y = rng.normal(size=(12, 2))
+        for name in registered_names():
+            net = _dense_net(3, 2, activation=name, hidden=(5, 4))
+            w = net.init_weights(rng)
+            p = ActivationParams(c=0.6, gamma=0.2, b=0.9) if name == "mmelu" else default_params(name)
+            full_w, full_act, full_loss = net.backward(w, p, x, y, loss_kind=loss_kind)
+            fast_w, fast_act, fast_loss = net.backward(w, p, x, y, loss_kind=loss_kind,
+                                                       param_grads=False)
+            assert fast_act is None and full_act is not None, name
+            assert fast_loss == full_loss, name
+            for a, b in zip(fast_w, full_w):
+                assert a.tobytes() == b.tobytes(), name
 
     def test_fd_conv_pool_net(self):
         """Small conv + pool + dense stack against finite differences."""

@@ -15,12 +15,14 @@ from oracles import inverse_gamma_cdf, ks_distance, laplace_cdf
 
 from gibbsnn.activations import ActivationParams
 from gibbsnn.diagnostics import load_trace
-from gibbsnn.errors import ConfigError
-from gibbsnn.model import BayesModel, HyperState, ModelState
+from gibbsnn.errors import ConfigError, NumericalError
+from gibbsnn.model import BayesModel, HyperState, ModelState, init_state
 from gibbsnn.network import Network, NetworkSpec, act, dense
 from gibbsnn.samplers import (
+    ChainState,
     SamplerConfig,
     estimate,
+    gibbs_sweep,
     mh_step,
     nshmc_step,
     reflect_into,
@@ -172,8 +174,7 @@ class TestNsHmc:
         q = np.array([0.1, -0.2, 0.3])
         q1, info = nshmc_step(
             q, rng,
-            smooth_energy=lambda x: 0.5 * float(x @ x),
-            smooth_grad=lambda x: x,
+            energy_grad=lambda x: (0.5 * float(x @ x), x),
             l1_scale=1e15, step=60.0, n_leapfrog=10)
         assert info["divergent"]
         assert not info["accepted"]
@@ -188,8 +189,7 @@ class TestNsHmc:
         for i in range(n):
             q, _ = nshmc_step(
                 q, rng,
-                smooth_energy=lambda x: 0.5 * float(x @ x),
-                smooth_grad=lambda x: x,
+                energy_grad=lambda x: (0.5 * float(x @ x), x),
                 l1_scale=1e15, step=0.5, n_leapfrog=8)
             out[i] = q
         cov = np.cov(out.T)
@@ -205,8 +205,7 @@ class TestNsHmc:
         for i in range(n):
             q, _ = nshmc_step(
                 q, rng,
-                smooth_energy=lambda x: 0.0,
-                smooth_grad=lambda x: np.zeros_like(x),
+                energy_grad=lambda x: (0.0, np.zeros_like(x)),
                 l1_scale=lam, step=0.4, n_leapfrog=8)
             out[i] = q[0]
         d = ks_distance(out, lambda x: laplace_cdf(x, 0.0, lam))
@@ -218,11 +217,90 @@ class TestNsHmc:
         for _ in range(50):
             q, info = nshmc_step(
                 q, rng,
-                smooth_energy=lambda x: 0.5 * float(x @ x),
-                smooth_grad=lambda x: x,
+                energy_grad=lambda x: (0.5 * float(x @ x), x),
                 l1_scale=2.0, step=0.3, n_leapfrog=5)
             assert 0.0 <= info["accept_prob"] <= 1.0
             assert np.isfinite(info["energy"])
+
+    def test_large_energy_drop_accepted(self):
+        """A trajectory that lowers H by about 800, past exp's overflow at
+        709 but inside the divergence threshold, is accepted."""
+        rng = np.random.default_rng(12)
+        # one leapfrog step of size sqrt(2) on E = x^2/2 takes q0 to about
+        # sqrt(2) p0 and the momentum to -q0/sqrt(2): dh = p0^2/2 - q0^2/4
+        q0 = np.array([40.0 * math.sqrt(2.0)])
+        q1, info = nshmc_step(
+            q0, rng, energy_grad=lambda x: (0.5 * float(x @ x), x),
+            l1_scale=1e15, step=math.sqrt(2.0), n_leapfrog=1)
+        assert -1000.0 < info["delta_h"] < -709.0
+        assert info["accepted"] and not info["divergent"]
+        assert info["accept_prob"] == 1.0
+        assert info["energy"] == 0.5 * float(q1 @ q1)
+
+    def test_reported_energy_is_energy_at_returned_point(self):
+        """info["energy"] comes from the trajectory's own gradient calls and
+        equals E at the returned point, accepted or not."""
+        rng = np.random.default_rng(13)
+        energy = lambda x: 0.5 * float(x @ x) + float(np.sum(np.cos(x)))
+        grad = lambda x: x - np.sin(x)
+        q = np.array([0.4, -1.2, 2.0])
+        outcomes = set()
+        for _ in range(200):
+            q, info = nshmc_step(
+                q, rng, energy_grad=lambda x: (energy(x), grad(x)),
+                l1_scale=1.5, step=0.9, n_leapfrog=4)
+            assert info["energy"] == energy(q)
+            outcomes.add(info["accepted"])
+        assert outcomes == {True, False}
+
+
+class TestWeightMove:
+    """The weight move inside gibbs_sweep, on the full batch."""
+
+    def _chain(self, blob_data, tiny_net, **cfg_kw):
+        train, _ = blob_data
+        model = BayesModel(tiny_net, train.inputs, train.labels,
+                           loss_kind="squared-error")
+        cfg = SamplerConfig(n_sweeps=10, burn_in=5, n_chains=1, leapfrog_steps=4,
+                            **cfg_kw)
+        rng = np.random.default_rng(14)
+        chain = ChainState(model=init_state(tiny_net, rng), rng=rng,
+                           step_size=cfg.step_size)
+        return model, cfg, chain
+
+    def test_sweep_data_term_calls(self, blob_data, tiny_net, monkeypatch):
+        """Three energies for the three scalar moves, and n_leapfrog + 1
+        gradients for the trajectory, whose end points take their energies
+        from the first and last gradient calls."""
+        model, cfg, chain = self._chain(blob_data, tiny_net)
+        gibbs_sweep(model, chain, cfg, adapting=True)  # records chain.energy
+        calls = {"data_energy": 0, "energy_grad": 0}
+        for name in calls:
+            def counted(*args, _orig=getattr(model, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _orig(*args, **kwargs)
+            monkeypatch.setattr(model, name, counted)
+        gibbs_sweep(model, chain, cfg, adapting=True)
+        assert calls == {"data_energy": 3, "energy_grad": cfg.leapfrog_steps + 1}
+
+    def test_failed_trajectory_keeps_recorded_energy(self, blob_data, tiny_net,
+                                                     monkeypatch):
+        """A divergent move, here one whose gradient fails at the current
+        point, leaves the weights and the recorded energy as they were."""
+        model, cfg, chain = self._chain(blob_data, tiny_net, update_activation=False)
+        gibbs_sweep(model, chain, cfg, adapting=False)
+        e_before = chain.energy
+        w_before = [wi.copy() for wi in chain.model.w]
+
+        def failing(*args, **kwargs):
+            raise NumericalError("non-finite gradient inf at layer 0 (dense)")
+
+        monkeypatch.setattr(model, "energy_grad", failing)
+        flags = gibbs_sweep(model, chain, cfg, adapting=False)
+        assert flags["divergent"] and not flags["accept_w"]
+        assert chain.energy == e_before
+        for a, b in zip(chain.model.w, w_before):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestSamplerConfig:
