@@ -15,7 +15,7 @@ from .activations import (
     zoo_eval, zoo_grad)
 from .baseline import BaselineConfig, Metrics, evaluate, train_baseline
 from .data import Dataset, load_cifar10, load_csv, load_idx, split, synth_blobs
-from .diagnostics import ess, histogram, split_rhat, summarize
+from .diagnostics import ess, split_rhat, summarize
 from .errors import (
     BadMagicError, ConfigError, CountMismatchError, FormatError, GibbsnnError,
     NumericalError, ShapeError, TruncatedError)
@@ -25,7 +25,7 @@ from .model import (
 from .network import (
     LayerSpec, Network, NetworkSpec, act, concat_weights, conv2d, dense,
     flatten, maxpool, softmax_layer, split_weights)
-from .optim import Adam, SGD, sgd_adam_step
+from .optim import Adam, SGD
 from .presets import build_preset, cnn1, cnn2, deep, mlp
 from .samplers import (
     ChainState, ChainTrace, PosteriorSummary, SamplerConfig, estimate,
@@ -41,11 +41,11 @@ __all__ = [
     "act", "activation_grads", "activation_value", "build_preset", "cnn1",
     "cnn2", "concat_weights", "cond_ig_params_lambda_b", "cond_ig_params_lambda_l",
     "cond_ig_params_sigma2", "conv2d", "deep", "default_params", "dense",
-    "ess", "estimate", "evaluate", "flatten", "gibbs_sweep", "histogram",
+    "ess", "estimate", "evaluate", "flatten", "gibbs_sweep",
     "init_state", "load_cifar10", "load_csv", "load_idx", "maxpool",
     "mexican_hat", "mh_step", "mlp", "mmelu", "mmelu_grads", "nshmc_step",
     "registered_names", "run_chain", "run_chains", "sample_inverse_gamma",
-    "sgd_adam_step", "softmax_layer", "soft_threshold", "split", "split_rhat",
+    "softmax_layer", "soft_threshold", "split", "split_rhat",
     "split_weights", "summarize", "synth_blobs", "train_baseline",
     "trainable_names", "zoo_eval", "zoo_grad",
 ]

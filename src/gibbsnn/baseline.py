@@ -15,7 +15,7 @@ import numpy as np
 
 from .activations import ActivationParams, default_params, registered_names, trainable_names
 from .errors import ConfigError, NumericalError
-from .network import Network
+from .network import Network, output_loss
 from .optim import Adam, SGD
 
 OPTIMIZERS = ("adam", "sgd")
@@ -65,7 +65,8 @@ class Metrics:
 
 
 def evaluate(net: Network, w, act_params, dataset, loss_kind="cross-entropy") -> Metrics:
-    """Accuracy, mean loss, and sensitivity/specificity.
+    """Accuracy, mean loss, and sensitivity/specificity, all from one
+    forward pass.
 
     Two classes: standard binary definitions with class 1 as positive.
     More classes: macro one-vs-rest averages.
@@ -75,7 +76,7 @@ def evaluate(net: Network, w, act_params, dataset, loss_kind="cross-entropy") ->
     probs = net.forward(w, act_params, dataset.inputs)
     pred = np.argmax(probs, axis=-1)
     y = np.asarray(dataset.labels)
-    loss = net.loss(w, act_params, dataset.inputs, y, loss_kind, average=True)
+    loss, _ = output_loss(probs, net.targets(y), loss_kind, average=True)
     acc = float(np.mean(pred == y))
 
     k = dataset.class_count or int(max(y.max(), pred.max())) + 1

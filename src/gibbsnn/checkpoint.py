@@ -15,7 +15,7 @@ import numpy as np
 from . import __version__
 from .activations import ActivationParams
 from .errors import FormatError
-from .model import HyperState, ModelState
+from .model import HyperState
 from .network import NetworkSpec
 
 FORMAT_VERSION = 1
@@ -82,18 +82,6 @@ def _state_from(doc, activation_name) -> dict:
     }
 
 
-def as_model_state(state: dict) -> ModelState:
-    """Rebuild a sampler ModelState from a loaded checkpoint state dict."""
-    if state["hyper"] is None or not isinstance(state["act"], ActivationParams):
-        raise FormatError("checkpoint does not hold a sampler state")
-    return ModelState(state["w"], state["act"], state["hyper"])
-
-
-def _jsonable_rng(rng_state):
-    # PCG64 state dicts hold arbitrary-precision ints; JSON keeps them exact
-    return rng_state
-
-
 def save_checkpoint(path, net_spec: NetworkSpec, w, act, hyper,
                     iteration: int, provenance: dict, chains: list | None = None,
                     activation_name: str = "mmelu", extra: dict | None = None):
@@ -112,7 +100,7 @@ def save_checkpoint(path, net_spec: NetworkSpec, w, act, hyper,
         "provenance": dict(provenance),
         "chains": [
             {"state": _state_doc(ch["state"].w, ch["state"].act, ch["state"].hyper),
-             "rng_state": _jsonable_rng(ch.get("rng_state"))}
+             "rng_state": ch.get("rng_state")}
             for ch in (chains or [])
         ],
     }
@@ -126,8 +114,9 @@ def save_checkpoint(path, net_spec: NetworkSpec, w, act, hyper,
 def load_checkpoint(path) -> dict:
     """Read a checkpoint back; inverse of save_checkpoint.
 
-    Returns a dict with keys: network (NetworkSpec), state (ModelState),
-    iteration, provenance, chains, activation_name, extra, raw.
+    Returns a dict with keys: network (NetworkSpec), state (a dict of w,
+    act and hyper), iteration, provenance, chains, activation_name,
+    extra, raw.
     """
     with open(path) as fh:
         raw = fh.read()

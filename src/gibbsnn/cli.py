@@ -71,6 +71,15 @@ def _parameter_plots(traces, out):
             series, name, os.path.join(out, "plots", f"{name}.svg"))
 
 
+def _metric_curves(xs, rows, over, out):
+    """plots/accuracy.svg and plots/loss.svg: the train and test rows'
+    values over xs."""
+    for key in ("accuracy", "loss"):
+        series = [[r[key] for r in rows if r["split"] == s] for s in ("train", "test")]
+        svgplot.curves_svg(xs, series, ["train", "test"], f"{key} {over}",
+                           os.path.join(out, "plots", f"{key}.svg"))
+
+
 def cmd_train(args) -> int:
     doc = _load_doc(args)
     cfg = cfgmod.validate_train(doc)
@@ -114,15 +123,7 @@ def cmd_train(args) -> int:
             wr.writeheader()
             wr.writerows(metrics_rows)
         xs = sorted({r["iteration"] for r in metrics_rows})
-        for key in ("accuracy", "loss"):
-            series, labels = [], []
-            for split_name in ("train", "test"):
-                rows = [r for r in metrics_rows
-                        if r["split"] == split_name and r["chain"] == 0]
-                series.append([r[key] for r in rows])
-                labels.append(split_name)
-            svgplot.curves_svg(xs, series, labels, f"{key} over sweeps",
-                               os.path.join(out, "plots", f"{key}.svg"))
+        _metric_curves(xs, [r for r in metrics_rows if r["chain"] == 0], "over sweeps", out)
 
     post = estimate(traces, scfg.burn_in, lengths=net.weight_lengths)
     mean_state = post.state()
@@ -163,14 +164,7 @@ def cmd_baseline(args) -> int:
     # iteration count cover the completed epochs only
     completed = [r for r in history if not r.get("diverged")]
     epochs = sorted({r["epoch"] for r in completed})
-    for key in ("accuracy", "loss"):
-        series, labels = [], []
-        for split_name in ("train", "test"):
-            rows = [r for r in completed if r["split"] == split_name]
-            series.append([r[key] for r in rows])
-            labels.append(split_name)
-        svgplot.curves_svg(epochs, series, labels, f"{key} per epoch",
-                           os.path.join(out, "plots", f"{key}.svg"))
+    _metric_curves(epochs, completed, "per epoch", out)
 
     provenance = {"config_sha256": ckpt.config_hash(doc), "seed": seed,
                   "version": __version__}

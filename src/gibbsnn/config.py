@@ -13,22 +13,19 @@ from . import data as dataio
 from .activations import registered_names
 from .baseline import BaselineConfig
 from .errors import ConfigError
-from .network import LayerSpec, Network, NetworkSpec
+from .network import LOSS_KINDS, LayerSpec, Network, NetworkSpec
 from .presets import build_preset, mlp
 from .samplers import SamplerConfig
-
-LOSS_KINDS = ("cross-entropy", "squared-error")
 
 
 # --- tiny schema engine -----------------------------------------------------
 
 class Field:
-    def __init__(self, kind, required=False, default=None, check=None, doc=""):
-        self.kind = kind  # type or tuple of types or "any"
+    def __init__(self, kind, required=False, default=None, check=None):
+        self.kind = kind  # type or tuple of types
         self.required = required
         self.default = default
         self.check = check
-        self.doc = doc
 
 
 def _type_name(kind):
@@ -56,9 +53,7 @@ def validate(doc, schema: dict, path: str = "config") -> dict:
             continue
         val = doc[name]
         kind = fld.kind
-        if kind == "any":
-            pass
-        elif kind is float:
+        if kind is float:
             if isinstance(val, bool) or not isinstance(val, (int, float)):
                 raise ConfigError(f"{where}: expected number, got {val!r}")
             val = float(val)
@@ -279,8 +274,8 @@ _BASELINE_SECTION = {
     "epochs": Field(int, default=50, check=_positive),
     "batch_size": Field(int, default=32, check=_positive),
     "l1": Field((int, float, list), default=0.0),
-    "dropout": Field((dict, bool), default=True,
-                     doc="true: preset rates; false: none; object: explicit"),
+    # true: the preset's rates; false: none; an object: explicit rates
+    "dropout": Field((dict, bool), default=True),
     "loss": Field(str, default="cross-entropy", check=_known_loss),
     "train_activation": Field(bool, default=True),
 }
@@ -352,16 +347,12 @@ def validate_convert(doc) -> dict:
 
 
 def sampler_config(section: dict, chains_override=None) -> SamplerConfig:
-    cfg = SamplerConfig(
-        n_sweeps=section["n_sweeps"], burn_in=section["burn_in"],
-        n_chains=chains_override or section["n_chains"],
-        leapfrog_steps=section["leapfrog_steps"], step_size=section["step_size"],
-        mh_scale_c=section["mh_scale_c"], mh_scale_gamma=section["mh_scale_gamma"],
-        mh_scale_b=section["mh_scale_b"], thin=section["thin"],
-        adapt=section["adapt"], batch_size=section["batch_size"],
-        w_history_limit=section["w_history_limit"],
-        scalar_subsweeps=section["scalar_subsweeps"])
-    return cfg.validate()
+    """SamplerConfig from a validated sampler section; every key but the
+    model's paper_literal_conditionals is a SamplerConfig field."""
+    kw = {k: v for k, v in section.items() if k != "paper_literal_conditionals"}
+    if chains_override:
+        kw["n_chains"] = chains_override
+    return SamplerConfig(**kw).validate()
 
 
 def baseline_config(section: dict, preset_dropout: dict) -> BaselineConfig:

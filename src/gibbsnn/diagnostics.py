@@ -91,11 +91,6 @@ def split_rhat(chains) -> float:
     return float(np.sqrt(var_plus / w))
 
 
-def histogram(series, bins=50):
-    """(counts, edges) of a series; thin wrapper kept for a stable API."""
-    return np.histogram(np.asarray(series, dtype=np.float64), bins=bins)
-
-
 def summarize(traces, burn_in: int = 0) -> list:
     """Per-parameter summary rows over the post-burn-in window.
 
@@ -164,5 +159,4 @@ def load_trace(path) -> ChainTrace:
         trace.log_posterior.append(float(row[col["log_posterior"]]))
         for f in trace.flag_fields:
             trace.flags[f].append(int(row[col[f]]) if f in col else 0)
-    trace.lam = [np.asarray(v) for v in trace.lam]
     return trace.finalize()

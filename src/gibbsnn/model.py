@@ -6,16 +6,20 @@ Gaussian prior on the hat center gamma, an exponential prior on the hat
 width b, and inverse-gamma hyperpriors on every scale (the per-layer
 Laplace scales, the exponential scale, and the Gaussian variance).
 
-All conditional densities are expressed through one log_posterior so the
-Gibbs blocks can be cross-checked against it term by term.
+The priors of c, gamma and b are defined once (act_log_prior) and enter
+both the joint density and the conditionals the sampler's Metropolis
+moves evaluate (act_conditional), so each Gibbs block can be
+cross-checked against log_posterior term by term.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .activations import ActivationParams
-from .network import Network
+from .errors import NumericalError
+from .network import LOSS_KINDS, Network
 
 BLOCKS = ("c", "gamma", "b", "sigma2", "lambda_b", "lambda_l")
 
@@ -128,7 +132,7 @@ class BayesModel:
         loss_kind: str = "cross-entropy",
         paper_literal: bool = False,
     ):
-        if loss_kind not in ("squared-error", "cross-entropy"):
+        if loss_kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss kind {loss_kind!r}")
         self.net = net
         self.inputs = np.asarray(inputs, dtype=np.float64)
@@ -198,9 +202,9 @@ class BayesModel:
         k = np.asarray(self.net.weight_lengths, dtype=np.float64)
         lp = float(np.sum(-k * np.log(hyp.lam) - norms / hyp.lam))
         lp += float(np.sum(-(1.0 + d) * np.log(hyp.lam) - m / hyp.lam))
-        lp += -0.5 * np.log(hyp.sigma2) - act.gamma**2 / (2.0 * hyp.sigma2)
+        lp += -0.5 * np.log(hyp.sigma2) + self.act_log_prior("gamma", act.gamma, state)
         lp += -(1.0 + d) * np.log(hyp.sigma2) - m / hyp.sigma2
-        lp += -np.log(hyp.lam_b) - act.b / hyp.lam_b
+        lp += -np.log(hyp.lam_b) + self.act_log_prior("b", act.b, state)
         lp += -(1.0 + d) * np.log(hyp.lam_b) - m / hyp.lam_b
         return float(lp)
 
@@ -214,27 +218,42 @@ class BayesModel:
 
     # -- scalar conditionals (log, up to constants in the block value) -------
 
+    def act_log_prior(self, block: str, value: float, state: ModelState) -> float:
+        """Log prior of one activation parameter at `value`, up to
+        constants: 0 for c on [0, 1], -gamma^2 / (2 sigma2) for gamma,
+        -b / lam_b for b on [0, inf); -inf off the support."""
+        if block == "c":
+            return 0.0 if 0.0 <= value <= 1.0 else -np.inf
+        if block == "gamma":
+            return -(value**2 / (2.0 * state.hyper.sigma2)) if math.isfinite(value) else -np.inf
+        if block == "b":
+            return -(value / state.hyper.lam_b) if value >= 0.0 else -np.inf
+        raise ValueError(f"no activation parameter {block!r}")
+
+    def act_conditional(self, block: str, value: float, state: ModelState,
+                        subset=None):
+        """(log density, data energy) of c, gamma or b at `value`, the
+        other blocks held at `state`: -E + log prior.  A NumericalError or
+        a non-finite energy reads as (-inf, inf), and so does a value off
+        the support, where the energy is not evaluated."""
+        prior = self.act_log_prior(block, value, state)
+        if prior == -np.inf:
+            return -np.inf, np.inf
+        try:
+            e = self.data_energy(state.w, replace(state.act, **{block: value}), subset)
+        except NumericalError:
+            e = np.inf
+        if not math.isfinite(e):
+            e = np.inf
+        return -e + prior, e
+
     def cond_logdensity(self, block: str, value: float, state: ModelState,
                         layer: int | None = None, subset=None) -> float:
         """Log conditional density of one block at `value`, other blocks
-        held at `state`.  For "lambda_l" pass the layer index."""
-        if block == "c":
-            if not 0.0 <= value <= 1.0:
-                return -np.inf
-            act = replace(state.act, c=value)
-            return -self.data_energy(state.w, act, subset)
-        if block == "gamma":
-            if not np.isfinite(value):
-                return -np.inf
-            act = replace(state.act, gamma=value)
-            e = self.data_energy(state.w, act, subset)
-            return -e - value**2 / (2.0 * state.hyper.sigma2)
-        if block == "b":
-            if value < 0.0:
-                return -np.inf
-            act = replace(state.act, b=value)
-            e = self.data_energy(state.w, act, subset)
-            return -e - value / state.hyper.lam_b
+        held at `state`.  For "lambda_l" pass the layer index.  The c,
+        gamma and b conditionals are act_conditional's, guard included."""
+        if block in ("c", "gamma", "b"):
+            return self.act_conditional(block, value, state, subset)[0]
         if block in ("sigma2", "lambda_b", "lambda_l"):
             if value <= 0.0:
                 return -np.inf
@@ -265,10 +284,6 @@ class BayesModel:
         if block == "sigma2":
             return cond_ig_params_sigma2(state.act.gamma, self.fixed, self.paper_literal)
         raise ValueError(f"no inverse-gamma conditional for block {block!r}")
-
-    def l1_term(self, w: list, lam: np.ndarray) -> float:
-        """sum_l |W_l|_1 / lam_l, the non-smooth part of -log posterior."""
-        return float(np.sum(l1_norms(w) / np.asarray(lam, dtype=np.float64)))
 
 
 def init_state(net: Network, rng: np.random.Generator) -> ModelState:

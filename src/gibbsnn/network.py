@@ -115,6 +115,27 @@ def _softmax(z):
 
 
 _LOG_FLOOR = 1e-300  # keeps log/div finite when softmax underflows to 0
+LOSS_KINDS = ("cross-entropy", "squared-error")
+
+
+def output_loss(out, targets, loss_kind: str, average: bool = False,
+                grad: bool = False):
+    """(loss, d loss / d out) of network outputs against float targets.
+
+    squared-error is sum_i (out_i - y_i)^2, cross-entropy -sum_i y_i log
+    out_i (out floored at 1e-300); average divides by the row count.  The
+    gradient is None unless grad is set.
+    """
+    scale = 1.0 / len(out) if average else 1.0
+    if loss_kind == "squared-error":
+        diff = out - targets
+        loss = float(np.sum(diff * diff)) * scale
+        return loss, (2.0 * diff * scale if grad else None)
+    if loss_kind == "cross-entropy":
+        p = np.maximum(out, _LOG_FLOOR)
+        loss = float(-np.sum(targets * np.log(p))) * scale
+        return loss, (-(targets / p) * scale if grad else None)
+    raise ValueError(f"unknown loss kind {loss_kind!r}")
 
 
 class Network:
@@ -122,9 +143,8 @@ class Network:
     backward passes.
 
     All activation layers in one network must reference the same registered
-    name; the parameter set passed to forward/backward is shared by every
-    site (pass a sequence of per-site parameter sets to opt in to the
-    per-layer extension).
+    name, and the one parameter set passed to forward/backward is shared by
+    every activation layer.
     """
 
     def __init__(self, spec: NetworkSpec):
@@ -134,7 +154,6 @@ class Network:
         self.kernel_sizes = []  # kernel entries per weighted layer (bias follows)
         self.layer_shapes = []  # output shape per layer (sample-local, no batch dim)
         self.activation_name = None
-        self.n_activation_sites = 0
 
         shape = tuple(spec.input_shape)
         for i, layer in enumerate(spec.layers):
@@ -168,7 +187,6 @@ class Network:
                     self.activation_name = layer.activation
                 elif self.activation_name != layer.activation:
                     raise ShapeError(f"{where}: mixed activation names are not supported")
-                self.n_activation_sites += 1
             elif layer.kind == "softmax":
                 if i != len(spec.layers) - 1:
                     raise ShapeError(f"{where}: softmax must be the final layer")
@@ -204,14 +222,9 @@ class Network:
         y = np.asarray(y)
         return _prepare_targets(y, len(y), self.layer_shapes[-1], False)
 
-    def _site_params(self, act_params, site: int):
-        if isinstance(act_params, (list, tuple)):
-            return act_params[site]
-        return act_params
-
     # -- forward ----------------------------------------------------------
 
-    def forward(self, w: list, act_params, x: np.ndarray, check: bool = True) -> np.ndarray:
+    def forward(self, w: list, act_params, x: np.ndarray) -> np.ndarray:
         """Evaluate the network; accepts one sample or a batch."""
         x = np.asarray(x, dtype=np.float64)
         single = x.shape == tuple(self.spec.input_shape)
@@ -220,34 +233,28 @@ class Network:
             raise ShapeError(
                 f"input shape {x.shape} does not match spec {tuple(self.spec.input_shape)}"
             )
-        h, _ = self._run(w, act_params, h, record=False, check=check)
+        h, _ = self._run(w, act_params, h, record=False)
         return h[0] if single else h
+
+    def _batch(self, x, y):
+        # (inputs with a batch axis, float targets) for loss and backward
+        x = np.asarray(x, dtype=np.float64)
+        single = x.shape == tuple(self.spec.input_shape)
+        h = x[None] if single else x
+        return h, _prepare_targets(y, h.shape[0], self.layer_shapes[-1], single)
 
     def loss(self, w, act_params, x, y, loss_kind: str = "cross-entropy",
              average: bool = False) -> float:
         """Batch loss only, no gradient bookkeeping."""
-        if loss_kind not in ("squared-error", "cross-entropy"):
-            raise ValueError(f"unknown loss kind {loss_kind!r}")
-        x = np.asarray(x, dtype=np.float64)
-        single = x.shape == tuple(self.spec.input_shape)
-        h = x[None] if single else x
-        n = h.shape[0]
-        yb = _prepare_targets(y, n, self.layer_shapes[-1], single)
+        h, yb = self._batch(x, y)
         out, _ = self._run(w, act_params, h, record=False)
-        scale = 1.0 / n if average else 1.0
-        if loss_kind == "squared-error":
-            diff = out - yb
-            return float(np.sum(diff * diff)) * scale
-        p = np.maximum(out, _LOG_FLOOR)
-        return float(-np.sum(yb * np.log(p))) * scale
+        return output_loss(out, yb, loss_kind, average)[0]
 
-    def _run(self, w, act_params, h, record: bool, check: bool = True,
-             dropout: dict | None = None):
+    def _run(self, w, act_params, h, record: bool, dropout: dict | None = None):
         # dropout maps layer index -> multiplicative mask applied to that
         # layer's output (mask carries its own 1/keep scaling); training-only
         caches = []
         wi = 0
-        ai = 0
         for i, layer in enumerate(self.spec.layers):
             if layer.kind == "dense":
                 W, b = self._unpack(w[wi], wi)
@@ -267,15 +274,14 @@ class Network:
                 caches.append(h.shape if record else None)
                 h = h.reshape(h.shape[0], -1)
             elif layer.kind == "activation":
-                caches.append((h, ai) if record else None)
-                h = activation_value(layer.activation, self._site_params(act_params, ai), h)
-                ai += 1
+                caches.append(h if record else None)
+                h = activation_value(layer.activation, act_params, h)
             elif layer.kind == "softmax":
                 h = _softmax(h)
                 caches.append(h if record else None)
             if dropout is not None and i in dropout:
                 h = h * dropout[i]
-            if check and not np.all(np.isfinite(h)):
+            if not np.all(np.isfinite(h)):
                 bad = h[~np.isfinite(h)]
                 raise NumericalError(
                     f"non-finite value {float(bad.flat[0])} after layer {i} ({layer.kind})"
@@ -308,35 +314,12 @@ class Network:
         slope only and grad_act is None; grad_w and loss are bitwise the
         same as with the full pass.
         """
-        if loss_kind not in ("squared-error", "cross-entropy"):
-            raise ValueError(f"unknown loss kind {loss_kind!r}")
-        x = np.asarray(x, dtype=np.float64)
-        single = x.shape == tuple(self.spec.input_shape)
-        h = x[None] if single else x
-        n = h.shape[0]
-        yb = _prepare_targets(y, n, self.layer_shapes[-1], single)
-
+        h, yb = self._batch(x, y)
         out, caches = self._run(w, act_params, h, record=True, dropout=dropout)
-        scale = 1.0 / n if average else 1.0
-
-        if loss_kind == "squared-error":
-            diff = out - yb
-            loss = float(np.sum(diff * diff)) * scale
-            g = 2.0 * diff * scale
-        else:
-            p = np.maximum(out, _LOG_FLOOR)
-            loss = float(-np.sum(yb * np.log(p))) * scale
-            g = -(yb / p) * scale
+        loss, g = output_loss(out, yb, loss_kind, average, grad=True)
 
         grad_w = [np.zeros_like(wi) for wi in w]
-        per_site = isinstance(act_params, (list, tuple))
-        grad_act = None
-        if param_grads:
-            grad_act = (
-                [_zero_param_grads(self.activation_name, p) for p in act_params]
-                if per_site
-                else _zero_param_grads(self.activation_name, act_params)
-            )
+        grad_act = _zero_param_grads(self.activation_name, act_params) if param_grads else None
 
         wi = len(w)
         for i in range(len(self.spec.layers) - 1, -1, -1):
@@ -363,18 +346,15 @@ class Network:
             elif layer.kind == "flatten":
                 g = g.reshape(cache)
             elif layer.kind == "activation":
-                h_in, ai = cache
-                params = self._site_params(act_params, ai)
                 if param_grads:
-                    d_x, d_params = activation_grads(layer.activation, params, h_in)
-                    target = grad_act[ai] if per_site else grad_act
+                    d_x, d_params = activation_grads(layer.activation, act_params, cache)
                     for name, dval in d_params.items():
                         if dval.ndim == g.ndim:
-                            target[name] += float(np.sum(g * dval))
+                            grad_act[name] += float(np.sum(g * dval))
                         else:  # vector parameter: leading axis indexes components
-                            target[name] += np.tensordot(dval, g, axes=g.ndim)
+                            grad_act[name] += np.tensordot(dval, g, axes=g.ndim)
                 else:
-                    d_x = activation_slope(layer.activation, params, h_in)
+                    d_x = activation_slope(layer.activation, act_params, cache)
                 g = g * d_x
             elif layer.kind == "softmax":
                 p = cache

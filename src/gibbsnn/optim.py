@@ -1,7 +1,5 @@
 """Gradient-descent steppers for the baseline trainer."""
 
-from __future__ import annotations
-
 import numpy as np
 
 
@@ -51,9 +49,3 @@ class SGD:
     def step(self, params: list, grads: list) -> list:
         return [p - self.lr * g for p, g in zip(params, grads)]
 
-
-def sgd_adam_step(w: list, grads: list, state: Adam, lr: float | None = None) -> list:
-    """One Adam update of a weight set; state carries the moment estimates."""
-    if lr is not None:
-        state.lr = lr
-    return state.step(w, grads)

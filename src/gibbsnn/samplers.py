@@ -83,23 +83,22 @@ def reflect_into(x: float, lower=None, upper=None) -> float:
     return x
 
 
-def mh_step(value: float, logdens, rng: np.random.Generator, scale: float,
-            lower=None, upper=None):
+def mh_step(value: float, current, evaluate, rng: np.random.Generator,
+            scale: float, lower=None, upper=None):
     """One Gaussian random-walk Metropolis update of a scalar.
 
-    The proposal is reflected at the support bounds, which keeps it
-    symmetric, so the accept ratio is the plain density ratio.  logdens is
-    called once at the current value and once at the candidate.
-    Returns (new_value, accepted).
+    evaluate(v) returns a tuple whose first item is the log density at v;
+    `current` is that tuple at `value`, cached by the caller, so only the
+    candidate is evaluated.  Reflecting the proposal at the support bounds
+    keeps it symmetric, so the accept ratio is the density ratio.  Every
+    step draws one normal and one uniform.  Returns (value, accepted,
+    evaluation), the last being the tuple at the returned value.
     """
     cand = reflect_into(value + scale * rng.standard_normal(), lower, upper)
-    lc = logdens(cand)
-    if lc == -np.inf:
-        return value, False
-    l0 = logdens(value)
-    if math.log(max(rng.random(), 1e-300)) < lc - l0:
-        return cand, True
-    return value, False
+    proposed = evaluate(cand)
+    if math.log(max(rng.random(), 1e-300)) < proposed[0] - current[0]:
+        return cand, True, proposed
+    return value, False, current
 
 
 # --- non-smooth HMC --------------------------------------------------------
@@ -318,11 +317,6 @@ class ChainTrace:
     def parameter_names(self) -> list:
         return list(self.scalar_fields) + [f"lambda_{i + 1}" for i in range(self.n_layers)]
 
-    def w_variance(self) -> np.ndarray:
-        if self.w_count < 2:
-            return np.zeros_like(self.w_m2)
-        return self.w_m2 / (self.w_count - 1)
-
     def to_csv(self, path):
         """iteration, c, gamma, b, sigma2, lambda_b, lambda_1..L, energy,
         log_posterior, accept flags; one row per recorded sweep."""
@@ -343,13 +337,8 @@ class ChainTrace:
 
 # --- the sweep --------------------------------------------------------------
 
-
-def _guarded_energy(model, w, act, subset):
-    try:
-        e = model.data_energy(w, act, subset)
-    except NumericalError:
-        return np.inf
-    return e if np.isfinite(e) else np.inf
+# (block, lower, upper) of the activation moves, in sweep order
+ACT_MOVES = (("c", 0.0, 1.0), ("gamma", None, None), ("b", 0.0, None))
 
 
 def _draw_ig(model, block, state, rng, it, layer=None):
@@ -370,6 +359,12 @@ def gibbs_sweep(model: BayesModel, chain: ChainState, cfg: SamplerConfig,
                 adapting: bool) -> dict:
     """One full sweep in the fixed block order; mutates chain in place.
 
+    c, gamma and b move by mh_step on model.act_conditional, the
+    conditionals cond_logdensity reports, in one loop over ACT_MOVES run
+    scalar_subsweeps times.  chain.energy carries the data energy of the
+    current point between moves, so each move evaluates its candidate
+    only.  The exact scale draws and the weight HMC follow.
+
     Returns the per-block accept flags for the trace row.  Raises
     NumericalError with a state dump if a conditional degenerates.
     """
@@ -380,59 +375,29 @@ def gibbs_sweep(model: BayesModel, chain: ChainState, cfg: SamplerConfig,
     subset = None
     if cfg.batch_size is not None and cfg.batch_size < model.n_data:
         subset = rng.choice(model.n_data, size=cfg.batch_size, replace=False)
-        chain.energy = _guarded_energy(model, st.w, st.act, subset)
-    elif not np.isfinite(chain.energy):
-        chain.energy = _guarded_energy(model, st.w, st.act, None)
+    if subset is not None or not np.isfinite(chain.energy):
+        # any block's conditional at its current value carries the energy
+        # of the current point, guarded, on this sweep's rows
+        _, chain.energy = model.act_conditional("c", st.act.c, st, subset)
 
     eta = (it + 1) ** -0.6 if adapting else 0.0
     flags = {}
 
     if cfg.update_activation:
         for _ in range(cfg.scalar_subsweeps):
-            # c block: conditional is exp(-E) restricted to [0,1]
-            e_cur = chain.energy
-            cand = reflect_into(st.act.c + chain.mh_scales["c"] * rng.standard_normal(), 0.0, 1.0)
-            e_cand = _guarded_energy(model, st.w, replace(st.act, c=cand), subset)
-            acc = math.log(max(rng.random(), 1e-300)) < e_cur - e_cand
-            if acc:
-                st.act = replace(st.act, c=cand)
-                chain.energy = e_cand
-            chain.proposal_counts["c"] += 1
-            chain.accept_counts["c"] += acc
-            flags["accept_c"] = acc
-            if adapting:
-                chain.mh_scales["c"] *= math.exp(eta * (float(acc) - cfg.target_accept_mh))
-
-            # gamma block: Gaussian prior N(0, sigma2) times the likelihood
-            s2 = st.hyper.sigma2
-            cand = st.act.gamma + chain.mh_scales["gamma"] * rng.standard_normal()
-            e_cand = _guarded_energy(model, st.w, replace(st.act, gamma=cand), subset)
-            num = -e_cand - cand**2 / (2.0 * s2)
-            den = -chain.energy - st.act.gamma**2 / (2.0 * s2)
-            acc = math.log(max(rng.random(), 1e-300)) < num - den
-            if acc:
-                st.act = replace(st.act, gamma=cand)
-                chain.energy = e_cand
-            chain.proposal_counts["gamma"] += 1
-            chain.accept_counts["gamma"] += acc
-            flags["accept_gamma"] = acc
-            if adapting:
-                chain.mh_scales["gamma"] *= math.exp(eta * (float(acc) - cfg.target_accept_mh))
-
-            # b block: exponential prior, support [0, inf), reflect at 0
-            cand = reflect_into(st.act.b + chain.mh_scales["b"] * rng.standard_normal(), 0.0, None)
-            e_cand = _guarded_energy(model, st.w, replace(st.act, b=cand), subset)
-            num = -e_cand - cand / st.hyper.lam_b
-            den = -chain.energy - st.act.b / st.hyper.lam_b
-            acc = math.log(max(rng.random(), 1e-300)) < num - den
-            if acc:
-                st.act = replace(st.act, b=cand)
-                chain.energy = e_cand
-            chain.proposal_counts["b"] += 1
-            chain.accept_counts["b"] += acc
-            flags["accept_b"] = acc
-            if adapting:
-                chain.mh_scales["b"] *= math.exp(eta * (float(acc) - cfg.target_accept_mh))
+            for block, lower, upper in ACT_MOVES:
+                value = getattr(st.act, block)
+                current = (-chain.energy + model.act_log_prior(block, value, st), chain.energy)
+                value, acc, (_, chain.energy) = mh_step(
+                    value, current, lambda v: model.act_conditional(block, v, st, subset),
+                    rng, chain.mh_scales[block], lower, upper)
+                if acc:
+                    st.act = replace(st.act, **{block: value})
+                chain.proposal_counts[block] += 1
+                chain.accept_counts[block] += acc
+                flags[f"accept_{block}"] = acc
+                if adapting:
+                    chain.mh_scales[block] *= math.exp(eta * (float(acc) - cfg.target_accept_mh))
 
     # exact scale draws
     st.hyper.sigma2 = _draw_ig(model, "sigma2", st, rng, it)

@@ -116,7 +116,7 @@ def trace_histogram_svg(series_by_chain, name, path, bins=40):
     c.save(path)
 
 
-def curves_svg(xs, series, labels, title, path, ylabel=""):
+def curves_svg(xs, series, labels, title, path):
     """Several y-series over a common x-axis (learning curves etc.)."""
     series = [np.asarray(s, dtype=np.float64) for s in series]
     xs = np.asarray(xs, dtype=np.float64)
@@ -127,6 +127,4 @@ def curves_svg(xs, series, labels, title, path, ylabel=""):
         color = _COLORS[k % len(_COLORS)]
         c.polyline([ax.px(x) for x in xs[:len(s)]], [ax.py(v) for v in s], color, width=2)
         c.text(600, 52 + 14 * k, lab, size=10, color=color, anchor="end")
-    if ylabel:
-        c.text(14, 170, ylabel, size=10)
     c.save(path)

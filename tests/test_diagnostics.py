@@ -6,7 +6,6 @@ import pytest
 from gibbsnn.diagnostics import (
     autocovariance,
     ess,
-    histogram,
     load_trace,
     split_rhat,
     summarize,
@@ -120,15 +119,6 @@ class TestSplitRhat:
         r1 = split_rhat(chains)
         r2 = split_rhat([3.0 * c - 7.0 for c in chains])
         np.testing.assert_allclose(r1, r2, rtol=1e-9)
-
-
-class TestHistogram:
-    def test_uniform_bins(self):
-        rng = np.random.default_rng(9)
-        n = 1000000
-        counts, edges = histogram(rng.uniform(size=n), bins=10)
-        np.testing.assert_allclose(counts, n / 10, rtol=0.05)
-        assert len(edges) == 11
 
 
 class TestSummarize:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from gibbsnn.activations import ActivationParams
+from gibbsnn.errors import NumericalError
 from gibbsnn.model import (
     BayesModel,
     FixedHypers,
@@ -162,6 +163,23 @@ class TestConditionalConsistency:
         assert model.cond_logdensity("c", 1.2, st) == -np.inf
         assert model.cond_logdensity("b", -0.5, st) == -np.inf
 
+    def test_failed_energy_reads_as_zero_density(self, monkeypatch):
+        """A NumericalError or a non-finite data energy gives the c, gamma
+        and b conditionals log density -inf, and act_conditional reports
+        the energy as inf."""
+        net, model, rng = _toy_model()
+        st = _random_state(net, rng)
+        outcomes = {"raise": None, "inf": np.inf, "nan": np.nan}
+        for kind, value in outcomes.items():
+            def energy(*args, value=value, **kwargs):
+                if value is None:
+                    raise NumericalError("non-finite value inf after layer 1 (dense)")
+                return value
+            monkeypatch.setattr(model, "data_energy", energy)
+            for block, v in (("c", 0.3), ("gamma", -0.4), ("b", 1.2)):
+                assert model.cond_logdensity(block, v, st) == -np.inf, (kind, block)
+                assert model.act_conditional(block, v, st) == (-np.inf, np.inf), (kind, block)
+
     def test_flat_c_when_hat_matches_relu(self):
         """Where the hat equals ReLU on every input, c drops out of the
         likelihood and its conditional is flat on [0, 1]."""
@@ -275,12 +293,6 @@ class TestPriorShape:
     def test_l1_norms(self):
         got = l1_norms([np.array([1.0, -2.0]), np.array([-0.5])])
         np.testing.assert_array_equal(got, [3.0, 0.5])
-
-    def test_l1_term(self):
-        net, model, rng = _toy_model()
-        w = [np.array([1.0, -2.0]), np.array([-0.5, 0.0])]
-        got = model.l1_term(w, np.array([2.0, 0.5]))
-        np.testing.assert_allclose(got, 3.0 / 2.0 + 0.5 / 0.5, rtol=1e-12)
 
     def test_init_state_defaults(self):
         net, model, rng = _toy_model()

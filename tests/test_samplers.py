@@ -13,6 +13,7 @@ import pytest
 
 from oracles import inverse_gamma_cdf, ks_distance, laplace_cdf
 
+import gibbsnn.samplers as samplers
 from gibbsnn.activations import ActivationParams
 from gibbsnn.diagnostics import load_trace
 from gibbsnn.errors import ConfigError, NumericalError
@@ -115,10 +116,11 @@ class TestMhStep:
         """Uniform conditional on [0,1]: every reflected proposal lands
         in-support and is accepted."""
         rng = np.random.default_rng(4)
-        v = 0.5
+        v, cur = 0.5, (0.0,)
         n_acc = 0
         for _ in range(2000):
-            v, accepted = mh_step(v, lambda x: 0.0, rng, 0.3, lower=0.0, upper=1.0)
+            v, accepted, cur = mh_step(v, cur, lambda x: (0.0,), rng, 0.3,
+                                       lower=0.0, upper=1.0)
             n_acc += accepted
             assert 0.0 <= v <= 1.0
         assert n_acc == 2000
@@ -126,9 +128,10 @@ class TestMhStep:
     def test_tiny_proposal_acceptance_near_one(self):
         rng = np.random.default_rng(5)
         v = 0.3
+        cur = (-v * v / 2.0,)
         n_acc = 0
         for _ in range(2000):
-            v, accepted = mh_step(v, lambda x: -x * x / 2.0, rng, 1e-8)
+            v, accepted, cur = mh_step(v, cur, lambda x: (-x * x / 2.0,), rng, 1e-8)
             n_acc += accepted
         assert n_acc / 2000 > 0.999
 
@@ -136,10 +139,11 @@ class TestMhStep:
         """Prior-style N(0, sigma2) target: sample variance within 5%."""
         sigma2 = 1.7
         rng = np.random.default_rng(6)
-        v = 0.0
+        v, cur = 0.0, (0.0,)
         out = np.empty(100000)
         for i in range(len(out)):
-            v, _ = mh_step(v, lambda x: -x * x / (2 * sigma2), rng, 2.4 * math.sqrt(sigma2))
+            v, _, cur = mh_step(v, cur, lambda x: (-x * x / (2 * sigma2),), rng,
+                                2.4 * math.sqrt(sigma2))
             out[i] = v
         assert abs(out.var() / sigma2 - 1.0) < 0.05
 
@@ -148,11 +152,11 @@ class TestMhStep:
         counts between value bins agree up to sampling noise (pairwise
         chi-square below the 0.99 quantile of chi2 with 6 dof)."""
         rng = np.random.default_rng(7)
-        v = 0.0
+        v, cur = 0.0, (0.0,)
         n = 120000
         xs = np.empty(n)
         for i in range(n):
-            v, _ = mh_step(v, lambda x: -x * x / 2.0, rng, 2.4)
+            v, _, cur = mh_step(v, cur, lambda x: (-x * x / 2.0,), rng, 2.4)
             xs[i] = v
         bins = np.quantile(xs, [0.25, 0.5, 0.75])
         lab = np.digitize(xs, bins)
@@ -166,6 +170,30 @@ class TestMhStep:
                     stat += (counts[i, j] - counts[j, i]) ** 2 / tot
         # chi2(6) 0.99 quantile
         assert stat < 16.812, f"detailed-balance statistic {stat}"
+
+    @pytest.mark.parametrize("logdens", [-1.0, -np.inf], ids=["finite", "zero_density"])
+    def test_one_evaluation_one_normal_one_uniform(self, logdens):
+        """Only the candidate is evaluated, and every step consumes one
+        normal and one uniform, also when the candidate has zero density,
+        so the RNG stream does not depend on the densities."""
+        rng, twin = np.random.default_rng(8), np.random.default_rng(8)
+        calls = []
+
+        def evaluate(x):
+            calls.append(x)
+            return (logdens, "extra")
+
+        v, cur = 0.2, (-0.5, "current")
+        for step in range(50):
+            v, accepted, cur = mh_step(v, cur, evaluate, rng, 0.4, lower=0.0)
+            twin.standard_normal()
+            twin.random()
+            assert len(calls) == step + 1
+            assert rng.bit_generator.state == twin.bit_generator.state
+            if logdens == -np.inf:
+                assert not accepted and cur == (-0.5, "current")
+            elif accepted:
+                assert v == calls[-1] and cur == (logdens, "extra")
 
 
 class TestNsHmc:
@@ -282,6 +310,30 @@ class TestWeightMove:
             monkeypatch.setattr(model, name, counted)
         gibbs_sweep(model, chain, cfg, adapting=True)
         assert calls == {"data_energy": 3, "energy_grad": cfg.leapfrog_steps + 1}
+
+    def test_scalar_moves_use_model_conditional(self, blob_data, tiny_net,
+                                                monkeypatch):
+        """Each of the 3 x scalar_subsweeps Metropolis moves is one
+        mh_step on the model's act_conditional, which evaluates only the
+        candidate."""
+        model, cfg, chain = self._chain(blob_data, tiny_net, scalar_subsweeps=2,
+                                        update_weights=False)
+        gibbs_sweep(model, chain, cfg, adapting=True)  # records chain.energy
+        calls = {"act_conditional": [], "mh_step": 0}
+        orig_cond, orig_mh = model.act_conditional, samplers.mh_step
+
+        def conditional(block, value, state, subset=None):
+            calls["act_conditional"].append(block)
+            return orig_cond(block, value, state, subset)
+
+        def step(*args, **kwargs):
+            calls["mh_step"] += 1
+            return orig_mh(*args, **kwargs)
+
+        monkeypatch.setattr(model, "act_conditional", conditional)
+        monkeypatch.setattr(samplers, "mh_step", step)
+        gibbs_sweep(model, chain, cfg, adapting=True)
+        assert calls == {"act_conditional": ["c", "gamma", "b"] * 2, "mh_step": 6}
 
     def test_failed_trajectory_keeps_recorded_energy(self, blob_data, tiny_net,
                                                      monkeypatch):
