@@ -52,10 +52,10 @@ class HyperState:
     @property
     def in_support(self) -> bool:
         return (
-            bool(np.all(self.lam > 0.0))
+            bool((self.lam > 0.0).all())
             and self.lam_b > 0.0
             and self.sigma2 > 0.0
-            and bool(np.all(np.isfinite(self.lam)))
+            and bool(np.isfinite(self.lam).all())
             and np.isfinite(self.lam_b)
             and np.isfinite(self.sigma2)
         )

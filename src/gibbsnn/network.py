@@ -7,6 +7,13 @@ Conventions
   as (n, H, W, C) / (n, features).
 * Convolutions are 3x3, stride 1, zero-padded to keep spatial size ("same");
   max-pooling is 2x2 stride 2 (trailing odd row/column dropped).
+* A convolution is lowered to matrix products (im2col): for each block of
+  CONV_BLOCK images the padded input is copied into an (images*H*W, 9*C_in)
+  patch matrix, so the forward pass is one GEMM per block and the backward
+  pass two (kernel gradient, and patch gradient added back onto the input).
+  Blocking keeps the patch matrix at a few MB whatever the batch size.
+* Backward stops at the first weighted layer: the gradient with respect to
+  the network input is never computed.
 * Per-layer weights live in flat vectors (kernel then bias); the list of
   those vectors is the weight set W^1..W^L referenced by the priors.
 * Gradients at activation kinks and pooling ties follow the conventions of
@@ -23,6 +30,7 @@ from .activations import ActivationParams, activation_grads, activation_slope, a
 from .errors import NumericalError, ShapeError
 
 KERNEL = 3
+CONV_BLOCK = 8  # images per im2col block: keeps the patch matrix a few MB
 
 
 @dataclass(frozen=True)
@@ -197,6 +205,13 @@ class Network:
             else:
                 raise ShapeError(f"{where}: unknown layer kind")
             self.layer_shapes.append(shape)
+        # no caller reads the input gradient, so backward stops at the first
+        # weighted layer and skips its input gradient; with param_grads it
+        # runs on to layer 0 when an activation below that layer has
+        # parameters (indexed by param_grads)
+        first = next((i for i, l in enumerate(spec.layers) if l.kind in ("dense", "conv2d")), 0)
+        below = any(l.kind == "activation" for l in spec.layers[:first])
+        self._backward_stop = (first, 0 if below else first)
         self.n_weights = int(sum(self.weight_lengths))
         self.n_layers = len(self.weight_lengths)  # L in the prior
 
@@ -281,7 +296,7 @@ class Network:
                 caches.append(h if record else None)
             if dropout is not None and i in dropout:
                 h = h * dropout[i]
-            if not np.all(np.isfinite(h)):
+            if not np.isfinite(h).all():
                 bad = h[~np.isfinite(h)]
                 raise NumericalError(
                     f"non-finite value {float(bad.flat[0])} after layer {i} ({layer.kind})"
@@ -321,9 +336,11 @@ class Network:
         grad_w = [np.zeros_like(wi) for wi in w]
         grad_act = _zero_param_grads(self.activation_name, act_params) if param_grads else None
 
+        layers = self.spec.layers
+        stop = self._backward_stop[bool(param_grads)]
         wi = len(w)
-        for i in range(len(self.spec.layers) - 1, -1, -1):
-            layer = self.spec.layers[i]
+        for i in range(len(layers) - 1, stop - 1, -1):
+            layer = layers[i]
             cache = caches[i]
             if dropout is not None and i in dropout:
                 g = g * dropout[i]
@@ -334,11 +351,15 @@ class Network:
                 gW = h_in.reshape(-1, W.shape[0]).T @ g.reshape(-1, W.shape[1])
                 gb = g.sum(axis=0)
                 grad_w[wi] = np.concatenate([gW.ravel(), gb])
-                g = g @ W.T
+                if i > stop:
+                    g = g @ W.T
             elif layer.kind == "conv2d":
                 wi -= 1
                 W, _ = self._unpack(w[wi], wi)
-                gW, gb, g = _conv_backward(cache, W, g)
+                if i > stop:
+                    gW, gb, g = _conv_backward(cache, W, g)
+                else:
+                    gW, gb, _ = _conv_backward(cache, W, g, input_grad=False)
                 grad_w[wi] = np.concatenate([gW.ravel(), gb])
             elif layer.kind == "maxpool2x2":
                 idx, inshape = cache
@@ -359,7 +380,7 @@ class Network:
             elif layer.kind == "softmax":
                 p = cache
                 g = p * (g - np.sum(g * p, axis=-1, keepdims=True))
-            if not np.all(np.isfinite(g)):
+            if not np.isfinite(g).all():
                 bad = g[~np.isfinite(g)]
                 raise NumericalError(
                     f"non-finite gradient {float(bad.flat[0])} at layer {i} ({layer.kind})"
@@ -396,31 +417,51 @@ def _prepare_targets(y, n, out_shape, single):
     return y
 
 
+def _im2col(xp):
+    # zero-padded (n, H+2, W+2, C_in) -> (n*H*W, 9*C_in) patch matrix with
+    # columns in (3, 3, C_in) order, so the copy runs over whole channel rows
+    win = np.lib.stride_tricks.sliding_window_view(xp, (KERNEL, KERNEL), axis=(1, 2))
+    return win.transpose(0, 1, 2, 4, 5, 3).reshape(-1, KERNEL * KERNEL * xp.shape[3])
+
+
+def _kernel_matrix(W):
+    # (C_out, C_in, 3, 3) -> (C_out, 9*C_in), columns matching _im2col's
+    return W.transpose(0, 2, 3, 1).reshape(W.shape[0], -1)
+
+
 def _conv_forward(xp, W, b):
-    # xp is zero-padded (n, H+2, W+2, C_in); one matmul per kernel tap
-    n, Hp, Wp, cin = xp.shape
-    H, Wd = Hp - 2, Wp - 2
-    out = np.tile(b, (n, H, Wd, 1)).astype(np.float64)
-    for di in range(KERNEL):
-        for dj in range(KERNEL):
-            tap = W[:, :, di, dj].T  # (C_in, C_out)
-            out += xp[:, di : di + H, dj : dj + Wd, :] @ tap
+    # one GEMM of the patch matrix per block of images
+    n, Hp, Wp, _ = xp.shape
+    Wm = _kernel_matrix(W)
+    out = np.empty((n, Hp - 2, Wp - 2, W.shape[0]))
+    for s in range(0, n, CONV_BLOCK):
+        blk = out[s : s + CONV_BLOCK].reshape(-1, W.shape[0])
+        np.matmul(_im2col(xp[s : s + CONV_BLOCK]), Wm.T, out=blk)
+    out += b
     return out
 
 
-def _conv_backward(xp, W, g):
+def _conv_backward(xp, W, g, input_grad=True):
+    # per block: gW += g^T @ col and, with input_grad, gcol = g @ Wm added
+    # back onto the padded input one tap at a time (col2im); gx is None
+    # without input_grad
     n, Hp, Wp, cin = xp.shape
     H, Wd = Hp - 2, Wp - 2
-    gW = np.zeros_like(W)
-    gxp = np.zeros_like(xp)
-    gflat = g.reshape(-1, W.shape[0])
-    for di in range(KERNEL):
-        for dj in range(KERNEL):
-            patch = xp[:, di : di + H, dj : dj + Wd, :]
-            gW[:, :, di, dj] = (patch.reshape(-1, cin).T @ gflat).T
-            gxp[:, di : di + H, dj : dj + Wd, :] += g @ W[:, :, di, dj]
-    gb = gflat.sum(axis=0)
-    return gW, gb, gxp[:, 1:-1, 1:-1, :]
+    cout = W.shape[0]
+    Wm = _kernel_matrix(W)
+    gW = np.zeros_like(Wm)
+    gxp = np.zeros_like(xp) if input_grad else None
+    for s in range(0, n, CONV_BLOCK):
+        gblk = g[s : s + CONV_BLOCK].reshape(-1, cout)
+        gW += gblk.T @ _im2col(xp[s : s + CONV_BLOCK])
+        if input_grad:
+            gcol = (gblk @ Wm).reshape(-1, H, Wd, KERNEL, KERNEL, cin)
+            for di in range(KERNEL):
+                for dj in range(KERNEL):
+                    gxp[s : s + CONV_BLOCK, di : di + H, dj : dj + Wd] += gcol[:, :, :, di, dj]
+    gb = g.reshape(-1, cout).sum(axis=0)
+    gx = gxp[:, 1:-1, 1:-1, :] if input_grad else None
+    return gW.reshape(cout, KERNEL, KERNEL, cin).transpose(0, 3, 1, 2), gb, gx
 
 
 def _maxpool_forward(h):

@@ -147,7 +147,7 @@ def nshmc_step(q, rng, energy_grad, l1_scale, step, n_leapfrog,
         e1, g = energy_grad(qn)
         g = g + envelope_grad(qn)
         p = p - 0.5 * step * g
-        if not np.all(np.isfinite(p)):
+        if not np.isfinite(p).all():
             break
 
     h1 = e1 + float(np.sum(np.abs(qn) / l1_scale)) + 0.5 * float(p @ p)

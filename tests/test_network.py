@@ -5,8 +5,12 @@ small architectures; probe inputs stay at least 1e-3 away from activation
 kinks so the subgradient convention never enters.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
+
+import gibbsnn.network as network_module
 
 from gibbsnn.activations import ActivationParams, default_params, registered_names
 from gibbsnn.errors import NumericalError, ShapeError
@@ -270,6 +274,171 @@ class TestBackward:
         fd = _fd_grad_w(net, w, p, x, y, "cross-entropy")
         for a, b in zip(grad_w, fd):
             np.testing.assert_allclose(a, b, rtol=5e-5, atol=1e-7)
+
+
+def _direct_conv(xp, W, b):
+    # out[n, i, j] = b + sum over taps of W[:, :, di, dj] applied to the
+    # padded input pixel (i + di, j + dj): a loop over pixels and taps
+    n, Hp, Wp, _ = xp.shape
+    out = np.empty((n, Hp - 2, Wp - 2, W.shape[0]))
+    for i in range(Hp - 2):
+        for j in range(Wp - 2):
+            acc = np.tile(b, (n, 1))
+            for di in range(3):
+                for dj in range(3):
+                    acc = acc + xp[:, i + di, j + dj, :] @ W[:, :, di, dj].T
+            out[:, i, j, :] = acc
+    return out
+
+
+def _direct_conv_grads(xp, W, g):
+    # (gW, gb, gx) of sum(g * conv(xp)) by the same pixel and tap loop
+    n, Hp, Wp, _ = xp.shape
+    gW = np.zeros_like(W)
+    gxp = np.zeros_like(xp)
+    for i in range(Hp - 2):
+        for j in range(Wp - 2):
+            for di in range(3):
+                for dj in range(3):
+                    gW[:, :, di, dj] += g[:, i, j, :].T @ xp[:, i + di, j + dj, :]
+                    gxp[:, i + di, j + dj, :] += g[:, i, j, :] @ W[:, :, di, dj]
+    return gW, g.sum(axis=(0, 1, 2)), gxp[:, 1:-1, 1:-1, :]
+
+
+def _assert_rel(actual, expected, rel=1e-12):
+    assert actual.shape == expected.shape
+    scale = np.max(np.abs(expected))
+    assert np.max(np.abs(actual - expected)) <= rel * scale
+
+
+class TestConv:
+    """The lowered conv kernels against a direct sum over output pixels and
+    kernel taps, on batches that do and do not fill the image blocks."""
+
+    @pytest.mark.parametrize("n, h, w_, c_in, c_out", [
+        (11, 5, 5, 1, 4),     # one input channel, C_out < 9 C_in
+        (1, 5, 5, 1, 16),     # batch of one, C_out > 9 C_in
+        (11, 7, 7, 3, 20),    # odd size, C_out < 9 C_in
+        (1, 7, 5, 2, 30),     # non-square, C_out > 9 C_in
+        (17, 6, 7, 4, 40),    # two full blocks and a remainder, C_out > 9 C_in
+    ])
+    def test_matches_direct_sum(self, n, h, w_, c_in, c_out):
+        rng = np.random.default_rng(n * 100 + h * 10 + c_out)
+        x = rng.normal(size=(n, h, w_, c_in))
+        xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
+        W = rng.normal(size=(c_out, c_in, 3, 3))
+        b = rng.normal(size=c_out)
+        g = rng.normal(size=(n, h, w_, c_out))
+        _assert_rel(network_module._conv_forward(xp, W, b), _direct_conv(xp, W, b))
+        got = network_module._conv_backward(xp, W, g)
+        for a, e in zip(got, _direct_conv_grads(xp, W, g)):
+            _assert_rel(a, e)
+        gW, gb, gx = network_module._conv_backward(xp, W, g, input_grad=False)
+        assert gx is None
+        assert gW.tobytes() == got[0].tobytes() and gb.tobytes() == got[1].tobytes()
+
+
+class TestInputGradientSkip:
+    """backward stops at the first weighted layer: nothing reads the
+    gradient with respect to the network input."""
+
+    @pytest.mark.parametrize("param_grads", [True, False])
+    def test_skip_leaves_results_bitwise_equal(self, param_grads):
+        # a pool in front of the conv gives the backward loop somewhere to
+        # go on to; forcing it there must change no output bit
+        layers = [maxpool(), conv2d(3, 2), act("mmelu"), flatten(),
+                  dense(48, 5), act("mmelu"), dense(5, 2), softmax_layer()]
+        net = Network(NetworkSpec(layers, (8, 8, 2), 2))
+        rng = np.random.default_rng(4)
+        w = net.init_weights(rng)
+        p = ActivationParams(c=0.47, gamma=0.1, b=1.5)
+        x = rng.normal(size=(10, 8, 8, 2))
+        y = rng.integers(0, 2, size=10)
+        assert net._backward_stop == (1, 1)
+        skipped = net.backward(w, p, x, y, param_grads=param_grads)
+        net._backward_stop = (0, 0)
+        full = net.backward(w, p, x, y, param_grads=param_grads)
+        assert skipped[2] == full[2]
+        for a, b in zip(skipped[0], full[0]):
+            assert a.tobytes() == b.tobytes()
+        assert skipped[1] == full[1]
+
+    def test_first_conv_computes_no_input_gradient(self, monkeypatch):
+        calls = []
+        conv_backward = network_module._conv_backward
+
+        def spy(xp, W, g, input_grad=True):
+            calls.append((W.shape, input_grad))
+            return conv_backward(xp, W, g, input_grad)
+
+        monkeypatch.setattr(network_module, "_conv_backward", spy)
+        spec, _ = cnn1()
+        net = Network(spec)
+        rng = np.random.default_rng(2)
+        net.backward(net.init_weights(rng), ActivationParams(c=0.47),
+                     rng.random((2, 28, 28, 1)), np.array([1, 7]))
+        assert [flag for _, flag in calls] == [True, True, False]
+        assert calls[-1][0] == (32, 1, 3, 3)
+
+    def test_activation_below_first_weighted_layer_keeps_its_gradient(self):
+        """An activation in front of the first weighted layer still owes
+        parameter gradients, so the loop runs on to layer 0 for it."""
+        net = Network(NetworkSpec(
+            [act("mmelu"), dense(3, 4), act("mmelu"), dense(4, 2), softmax_layer()],
+            (3,), 2))
+        assert net._backward_stop == (1, 0)
+        rng = np.random.default_rng(6)
+        w = net.init_weights(rng)
+        x = rng.normal(size=(9, 3))
+        y = rng.integers(0, 2, size=9)
+        vals = dict(c=0.6, gamma=0.2, b=0.9)
+        full_w, grad_act, full_loss = net.backward(w, ActivationParams(**vals), x, y)
+        fast_w, _, fast_loss = net.backward(w, ActivationParams(**vals), x, y,
+                                            param_grads=False)
+        assert fast_loss == full_loss
+        for a, b in zip(fast_w, full_w):
+            assert a.tobytes() == b.tobytes()
+        h = 1e-6
+        for name in vals:
+            up, dn = dict(vals), dict(vals)
+            up[name] += h
+            dn[name] -= h
+            fd = (net.loss(w, ActivationParams(**up), x, y)
+                  - net.loss(w, ActivationParams(**dn), x, y)) / (2 * h)
+            np.testing.assert_allclose(grad_act[name], fd, rtol=1e-4, atol=1e-7)
+
+
+def _traced_peak_mib(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """Allocation sizes are deterministic, so tracemalloc's peak catches a
+    conv temporary that grows with the batch.  Both peaks are set by the
+    activation layer after the first conv; the per-block patch matrices
+    must stay below it."""
+
+    def test_cnn1_peaks(self):
+        spec, dropout = cnn1()
+        net = Network(spec)
+        rng = np.random.default_rng(0)
+        w = net.init_weights(rng)
+        p = ActivationParams(c=0.5, gamma=0.1, b=1.0)
+        x = rng.random((32, 28, 28, 1))
+        y = rng.integers(0, 10, 32)
+        masks = {li: (rng.random((32,) + net.layer_shapes[li]) >= rate) / (1.0 - rate)
+                 for li, rate in dropout.items()}
+        x64 = rng.random((64, 28, 28, 1))
+        backward = _traced_peak_mib(
+            lambda: net.backward(w, p, x, y, average=True, dropout=masks))
+        forward = _traced_peak_mib(lambda: net.forward(w, p, x64))
+        assert backward <= 68.3, backward
+        assert forward <= 37.2, forward
 
 
 class TestMaxpool:
