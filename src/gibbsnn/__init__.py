@@ -11,8 +11,7 @@ __version__ = "0.1.0"
 
 from .activations import (
     ActivationParams, activation_grads, activation_value, default_params,
-    mexican_hat, mmelu, mmelu_grads, registered_names, trainable_names,
-    zoo_eval, zoo_grad)
+    mexican_hat, mmelu, mmelu_grads, registered_names, trainable_names)
 from .baseline import BaselineConfig, Metrics, evaluate, train_baseline
 from .data import Dataset, load_cifar10, load_csv, load_idx, split, synth_blobs
 from .diagnostics import ess, split_rhat, summarize
@@ -47,5 +46,5 @@ __all__ = [
     "registered_names", "run_chain", "run_chains", "sample_inverse_gamma",
     "softmax_layer", "soft_threshold", "split", "split_rhat",
     "split_weights", "summarize", "synth_blobs", "train_baseline",
-    "trainable_names", "zoo_eval", "zoo_grad",
+    "trainable_names",
 ]

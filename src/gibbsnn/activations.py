@@ -1,9 +1,13 @@
 """Activation functions: the trainable hat/ReLU blend plus the comparison zoo.
 
-Every function is vectorized over numpy arrays and works on scalars.  Each
-activation exposes its value, its input derivative, and the derivatives with
-respect to its own parameters, so both the gradient-descent baseline and the
-MCMC machinery can consume the same definitions.
+Every function is vectorized over numpy arrays and works on scalars.  One
+registry maps each activation name to its value, its derivatives (with
+respect to the input and to its own parameters) and its default
+parameters, so both the gradient-descent baseline and the MCMC machinery
+consume the same definitions.  This module is the only one that knows how
+parameters are stored: ActivationParams for the blend ('mmelu'), a dict
+for everything else; make_params, params_doc and with_values convert and
+update them for the other modules.
 
 Non-differentiable points use the subgradient-0 convention: at a kink the
 reported derivative is exactly 0 (``np.sign(0) == 0`` and strict inequalities
@@ -12,29 +16,34 @@ do this naturally).  This only matters on a measure-zero set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-__all__ = [
-    "ActivationParams",
-    "mexican_hat",
-    "mmelu",
-    "mmelu_grads",
-    "mmelu_slope",
-    "zoo_eval",
-    "zoo_grad",
-    "activation_value",
-    "activation_grads",
-    "activation_slope",
-    "default_params",
-    "trainable_names",
-    "registered_names",
-    "melu_grid",
-]
-
 SELU_LAMBDA = 1.0507
 SELU_ALPHA = 1.67326
+
+# support (lower, upper) of the blend's trainable triple, None for an open
+# side; every value must also be finite
+ACT_BOUNDS = {"c": (0.0, 1.0), "gamma": (None, None), "b": (0.0, None)}
+
+
+def in_bounds(name: str, value) -> bool:
+    """Whether `value` is finite and inside ACT_BOUNDS[name]."""
+    lower, upper = ACT_BOUNDS[name]
+    return (math.isfinite(value) and (lower is None or value >= lower)
+            and (upper is None or value <= upper))
+
+
+def _clip_to_bounds(name: str, value):
+    """Project `value` onto the interval ACT_BOUNDS[name]."""
+    lower, upper = ACT_BOUNDS[name]
+    if lower is not None:
+        value = max(value, lower)
+    if upper is not None:
+        value = min(value, upper)
+    return value
 
 
 @dataclass
@@ -43,7 +52,7 @@ class ActivationParams:
     [0, 1], hat center ``gamma``, hat height/half-width ``b`` >= 0.
 
     Out-of-support values are representable (density code maps them to
-    log-density -inf); call validate() where a legal state is required.
+    log-density -inf); in_support reports them against ACT_BOUNDS.
     """
 
     c: float = 0.5
@@ -52,16 +61,13 @@ class ActivationParams:
 
     @property
     def in_support(self) -> bool:
-        return 0.0 <= self.c <= 1.0 and self.b >= 0.0 and np.isfinite(self.gamma)
-
-    def validate(self):
-        if not 0.0 <= self.c <= 1.0:
-            raise ValueError(f"c must lie in [0, 1], got {self.c}")
-        if self.b < 0.0:
-            raise ValueError(f"b must be non-negative, got {self.b}")
+        return all(in_bounds(name, getattr(self, name)) for name in ACT_BOUNDS)
 
     def as_dict(self) -> dict:
         return {"c": self.c, "gamma": self.gamma, "b": self.b}
+
+    def __getitem__(self, name):
+        return getattr(self, name)
 
 
 def _sigmoid(x):
@@ -124,6 +130,11 @@ def _mmelu_slope_parts(x, p):
     return d_x, inside, sgn
 
 
+def _mmelu_grad(x, p):
+    d_x, d_c, d_gamma, d_b = mmelu_grads(x, p)
+    return d_x, {"c": d_c, "gamma": d_gamma, "b": d_b}
+
+
 def melu_grid(k: int):
     """Fixed (center, half-width) pairs for the multi-hat activation.
 
@@ -150,8 +161,9 @@ def melu_grid(k: int):
 # --- comparison zoo -------------------------------------------------------
 #
 # Fixed-shape members take no trainable parameters (ELU's alpha and the
-# leaky slope are configuration constants); the parameterized members list
-# their trainable names in _REGISTRY.
+# leaky slope are configuration constants); the parameterized members take
+# their parameters as keywords, and every default in _REGISTRY except abu's
+# basis is trainable.
 
 
 def _pelu(x, beta, gamma):
@@ -174,7 +186,7 @@ def _frelu(x, alpha, beta):
 
 def _frelu_grad(x, alpha, beta):
     on = ((x + alpha) > 0).astype(np.float64)
-    return on, {"alpha": on, "beta": np.ones_like(np.asarray(x, dtype=np.float64))}
+    return on, {"alpha": on, "beta": np.ones_like(x)}
 
 
 def _prelu(x, alpha):
@@ -207,7 +219,6 @@ def _melu(x, alpha, c):
 
 
 def _melu_grad(x, alpha, c):
-    x = np.asarray(x, dtype=np.float64)
     centers, widths = melu_grid(len(c) + 1)
     d_x, pg = _prelu_grad(x, alpha)
     d_c = np.empty((len(c),) + x.shape)
@@ -253,15 +264,14 @@ _BASIS = {
 ABU_DEFAULT_BASIS = ("relu", "lrelu", "elu", "swish")
 
 
-def _abu(x, weights, basis):
-    out = np.zeros_like(np.asarray(x, dtype=np.float64))
+def _abu(x, weights, basis=ABU_DEFAULT_BASIS):
+    out = np.zeros_like(x)
     for wi, name in zip(weights, basis):
         out = out + wi * _BASIS[name][0](x)
     return out
 
 
-def _abu_grad(x, weights, basis):
-    x = np.asarray(x, dtype=np.float64)
+def _abu_grad(x, weights, basis=ABU_DEFAULT_BASIS):
     d_x = np.zeros_like(x)
     d_w = np.empty((len(weights),) + x.shape)
     for i, (wi, name) in enumerate(zip(weights, basis)):
@@ -271,26 +281,39 @@ def _abu_grad(x, weights, basis):
     return d_x, {"weights": d_w}
 
 
-def _zoo_defaults_abu():
-    k = len(ABU_DEFAULT_BASIS)
-    return {"weights": np.full(k, 1.0 / k), "basis": ABU_DEFAULT_BASIS}
+def _fixed(name):
+    fn, dfn = _BASIS[name]
+    return fn, lambda x: (dfn(x), {}), {}
 
 
-# name -> (defaults factory, trainable parameter names)
+# name -> (value(x, **params), grads(x, **params) -> (d/dx, {param: d/dparam}),
+# default params); mmelu's entry takes the triple as keywords
 _REGISTRY = {
-    "mmelu": (lambda: {"c": 0.5, "gamma": 0.0, "b": 1.0}, ("c", "gamma", "b")),
-    "relu": (dict, ()),
-    "lrelu": (dict, ()),
-    "elu": (dict, ()),
-    "selu": (dict, ()),
-    "swish": (dict, ()),
-    "elish": (dict, ()),
-    "prelu": (lambda: {"alpha": 0.25}, ("alpha",)),
-    "frelu": (lambda: {"alpha": 0.0, "beta": 0.0}, ("alpha", "beta")),
-    "pelu": (lambda: {"beta": 1.0, "gamma": 1.0}, ("beta", "gamma")),
-    "melu": (lambda: {"alpha": 0.25, "c": np.zeros(4)}, ("alpha", "c")),
-    "abu": (_zoo_defaults_abu, ("weights",)),
+    "mmelu": (lambda x, **p: mmelu(x, ActivationParams(**p)),
+              lambda x, **p: _mmelu_grad(x, ActivationParams(**p)),
+              ActivationParams().as_dict()),
+    **{name: _fixed(name) for name in ("relu", "lrelu", "elu", "selu", "swish")},
+    "elish": (_elish, _elish_grad, {}),
+    "prelu": (_prelu, _prelu_grad, {"alpha": 0.25}),
+    "frelu": (_frelu, _frelu_grad, {"alpha": 0.0, "beta": 0.0}),
+    "pelu": (_pelu, _pelu_grad, {"beta": 1.0, "gamma": 1.0}),
+    "melu": (_melu, _melu_grad, {"alpha": 0.25, "c": np.zeros(4)}),
+    "abu": (_abu, _abu_grad, {"weights": np.full(len(ABU_DEFAULT_BASIS), 1.0 / len(ABU_DEFAULT_BASIS)),
+                              "basis": ABU_DEFAULT_BASIS}),
 }
+
+
+def _entry(name):
+    if name not in _REGISTRY:
+        raise KeyError(f"unknown activation {name!r}; known: {sorted(_REGISTRY)}")
+    return _REGISTRY[name]
+
+
+def _parse(params: dict) -> dict:
+    # floats, fresh float64 arrays for vector parameters, abu's basis a tuple
+    return {key: tuple(val) if key == "basis"
+            else np.array(val, dtype=np.float64) if np.ndim(val) else float(val)
+            for key, val in params.items()}
 
 
 def registered_names():
@@ -298,83 +321,65 @@ def registered_names():
 
 
 def default_params(name: str) -> dict:
-    if name not in _REGISTRY:
-        raise KeyError(f"unknown activation {name!r}; known: {sorted(_REGISTRY)}")
-    return _REGISTRY[name][0]()
+    """A fresh dict of the registry defaults."""
+    return _parse(_entry(name)[2])
 
 
 def trainable_names(name: str) -> tuple:
-    if name not in _REGISTRY:
-        raise KeyError(f"unknown activation {name!r}; known: {sorted(_REGISTRY)}")
-    return _REGISTRY[name][1]
+    return tuple(key for key in _entry(name)[2] if key != "basis")
 
 
-def zoo_eval(name: str, params: dict, x):
-    """Evaluate a zoo activation pointwise.  Raises KeyError for unknown names."""
-    x = np.asarray(x, dtype=np.float64)
-    if name == "prelu":
-        return _prelu(x, params["alpha"])
-    if name == "frelu":
-        return _frelu(x, params["alpha"], params["beta"])
-    if name == "pelu":
-        return _pelu(x, params["beta"], params["gamma"])
-    if name == "elish":
-        return _elish(x)
-    if name == "melu":
-        return _melu(x, params["alpha"], params["c"])
-    if name == "abu":
-        return _abu(x, params["weights"], params.get("basis", ABU_DEFAULT_BASIS))
-    if name in _BASIS:
-        return _BASIS[name][0](x)
-    raise KeyError(f"unknown activation {name!r}; known: {sorted(_REGISTRY)}")
+def make_params(name: str, overrides: dict | None = None):
+    """The defaults updated by `overrides` (a config or checkpoint dict),
+    in the form the dispatchers take: ActivationParams for 'mmelu', a dict
+    for everything else.  Raises KeyError for names the activation lacks."""
+    defaults = _entry(name)[2]
+    unknown = set(overrides or {}) - set(defaults)
+    if unknown:
+        raise KeyError(f"activation {name!r} has no parameters {sorted(unknown)}")
+    params = _parse({**defaults, **(overrides or {})})
+    return ActivationParams(**params) if name == "mmelu" else params
 
 
-def zoo_grad(name: str, params: dict, x):
-    """Return (d/dx, {param: d/dparam}) for a zoo activation.
+def params_doc(params) -> dict:
+    """JSON-ready copy of activation parameters; make_params inverts it."""
+    if isinstance(params, ActivationParams):
+        return params.as_dict()
+    return {key: val.tolist() if isinstance(val, np.ndarray)
+            else list(val) if isinstance(val, tuple) else val
+            for key, val in params.items()}
+
+
+def with_values(params, names, values):
+    """New parameters with `names` set to `values`; the blend's triple is
+    projected into ACT_BOUNDS.  `params` itself is never mutated."""
+    if isinstance(params, ActivationParams):
+        return replace(params, **{k: _clip_to_bounds(k, float(v)) for k, v in zip(names, values)})
+    return {**params, **{k: v if np.ndim(params[k]) else float(v) for k, v in zip(names, values)}}
+
+
+def activation_value(name: str, params, x):
+    """Dispatch for network layers: params is ActivationParams (or its
+    dict) for 'mmelu', a plain dict for everything else."""
+    if name == "mmelu" and isinstance(params, ActivationParams):
+        return mmelu(x, params)
+    return _entry(name)[0](np.asarray(x, dtype=np.float64), **params)
+
+
+def activation_grads(name: str, params, x):
+    """As activation_value but returns (d/dx, {param: d/dparam}).
 
     Scalar parameters map to arrays shaped like x; vector parameters to
     arrays of shape (len(param),) + x.shape.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if name == "prelu":
-        return _prelu_grad(x, params["alpha"])
-    if name == "frelu":
-        return _frelu_grad(x, params["alpha"], params["beta"])
-    if name == "pelu":
-        return _pelu_grad(x, params["beta"], params["gamma"])
-    if name == "elish":
-        return _elish_grad(x)
-    if name == "melu":
-        return _melu_grad(x, params["alpha"], params["c"])
-    if name == "abu":
-        return _abu_grad(x, params["weights"], params.get("basis", ABU_DEFAULT_BASIS))
-    if name in _BASIS:
-        return _BASIS[name][1](x), {}
-    raise KeyError(f"unknown activation {name!r}; known: {sorted(_REGISTRY)}")
-
-
-def activation_value(name: str, params, x):
-    """Dispatch for network layers: params is ActivationParams for 'mmelu',
-    a plain dict for everything else."""
-    if name == "mmelu":
-        p = params if isinstance(params, ActivationParams) else ActivationParams(**params)
-        return mmelu(x, p)
-    return zoo_eval(name, params, x)
-
-
-def activation_grads(name: str, params, x):
-    """As activation_value but returns (d/dx, {param: d/dparam})."""
-    if name == "mmelu":
-        p = params if isinstance(params, ActivationParams) else ActivationParams(**params)
-        d_x, d_c, d_gamma, d_b = mmelu_grads(x, p)
-        return d_x, {"c": d_c, "gamma": d_gamma, "b": d_b}
-    return zoo_grad(name, params, x)
+    if name == "mmelu" and isinstance(params, ActivationParams):
+        return _mmelu_grad(x, params)
+    return _entry(name)[1](np.asarray(x, dtype=np.float64), **params)
 
 
 def activation_slope(name: str, params, x):
     """As activation_grads but returns d/dx only, for callers that need no
     parameter gradients."""
-    if name == "mmelu":
-        p = params if isinstance(params, ActivationParams) else ActivationParams(**params)
-        return mmelu_slope(x, p)
-    return zoo_grad(name, params, x)[0]
+    if name == "mmelu" and isinstance(params, ActivationParams):
+        return mmelu_slope(x, params)
+    return activation_grads(name, params, x)[0]

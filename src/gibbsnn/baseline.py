@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .activations import ActivationParams, default_params, registered_names, trainable_names
+from .activations import make_params, registered_names, trainable_names, with_values
 from .errors import ConfigError, NumericalError
 from .network import Network, output_loss
 from .optim import Adam, SGD
@@ -37,6 +37,10 @@ class BaselineConfig:
     def validate(self):
         if self.activation not in registered_names():
             raise ConfigError(f"unknown activation {self.activation!r}")
+        try:
+            make_params(self.activation, self.act_params)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"act_params: {exc}") from None
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"optimizer must be one of {OPTIMIZERS}")
         # learning_rate 0 is allowed (freeze); negative rates are not
@@ -137,37 +141,13 @@ def train_baseline(net: Network, cfg: BaselineConfig, train, test, seed: int = 0
     mask_rng = np.random.Generator(np.random.PCG64(mask_ss))  # dropout-only stream
 
     w = net.init_weights(rng)
-    params = dict(default_params(cfg.activation))
-    if cfg.act_params:
-        params.update(cfg.act_params)
-    if cfg.activation == "mmelu":
-        act = ActivationParams(**{k: float(v) for k, v in params.items()})
-    else:
-        act = params
+    act = make_params(cfg.activation, cfg.act_params)
     t_names = trainable_names(cfg.activation) if cfg.train_activation else ()
     l1 = _l1_vector(cfg.l1, net.n_layers)
 
     opt_cls = Adam if cfg.optimizer == "adam" else SGD
     opt_w = opt_cls(cfg.learning_rate)
     opt_a = opt_cls(cfg.learning_rate)
-
-    def act_values():
-        if cfg.activation == "mmelu":
-            return [np.float64(getattr(act, nm)) for nm in t_names]
-        return [np.asarray(act[nm], dtype=np.float64) for nm in t_names]
-
-    def set_act(values):
-        nonlocal act
-        if cfg.activation == "mmelu":
-            upd = {nm: float(v) for nm, v in zip(t_names, values)}
-            # keep the chain-rule update inside the legal box
-            upd["c"] = min(max(upd.get("c", act.c), 0.0), 1.0)
-            upd["b"] = max(upd.get("b", act.b), 0.0)
-            act = ActivationParams(**{**act.as_dict(), **upd})
-        else:
-            # a new dict, so the one held by last_good is never mutated
-            act = {**act, **{nm: v if np.ndim(act[nm]) else float(v)
-                             for nm, v in zip(t_names, values)}}
 
     history = []
     n = train.n
@@ -198,8 +178,11 @@ def train_baseline(net: Network, cfg: BaselineConfig, train, test, seed: int = 0
             gw = [g + c * np.sign(wi) for g, c, wi in zip(gw, l1, w)]
             w = opt_w.step(w, gw)
             if t_names:
+                # with_values builds new parameters, projected into their
+                # support, so the ones held by last_good never change
+                values = [np.asarray(act[nm], dtype=np.float64) for nm in t_names]
                 grads = [np.asarray(ga[nm], dtype=np.float64) for nm in t_names]
-                set_act(opt_a.step(act_values(), grads))
+                act = with_values(act, t_names, opt_a.step(values, grads))
         if not diverged:
             # the epoch-end state counts as finite only if both splits are
             rows = []

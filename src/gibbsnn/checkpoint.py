@@ -12,8 +12,7 @@ import json
 
 import numpy as np
 
-from . import __version__
-from .activations import ActivationParams
+from .activations import make_params, params_doc
 from .errors import FormatError
 from .model import HyperState
 from .network import NetworkSpec
@@ -30,39 +29,10 @@ def config_hash(doc) -> str:
     return hashlib.sha256(_canon(doc).encode()).hexdigest()
 
 
-def _act_doc(act):
-    if isinstance(act, ActivationParams):
-        return act.as_dict()
-    # zoo parameter dict: arrays become lists, the basis tuple a list
-    out = {}
-    for key, val in act.items():
-        if isinstance(val, np.ndarray):
-            out[key] = val.tolist()
-        elif isinstance(val, tuple):
-            out[key] = list(val)
-        else:
-            out[key] = val
-    return out
-
-
-def _act_from(doc, activation_name):
-    if activation_name == "mmelu":
-        return ActivationParams(**doc)
-    out = {}
-    for key, val in doc.items():
-        if isinstance(val, list) and val and isinstance(val[0], (int, float)):
-            out[key] = np.asarray(val, dtype=np.float64)
-        elif isinstance(val, list):
-            out[key] = tuple(val)
-        else:
-            out[key] = val
-    return out
-
-
 def _state_doc(w, act, hyper: HyperState | None) -> dict:
     return {
         "weights": [np.asarray(wi).tolist() for wi in w],
-        "activation": _act_doc(act),
+        "activation": params_doc(act),
         "hyper": None if hyper is None else {
             "lam": hyper.lam.tolist(),
             "lam_b": hyper.lam_b,
@@ -75,7 +45,7 @@ def _state_from(doc, activation_name) -> dict:
     hyper = doc["hyper"]
     return {
         "w": [np.asarray(wi, dtype=np.float64) for wi in doc["weights"]],
-        "act": _act_from(doc["activation"], activation_name),
+        "act": make_params(activation_name, doc["activation"]),
         "hyper": None if hyper is None else HyperState(
             np.asarray(hyper["lam"], dtype=np.float64),
             hyper["lam_b"], hyper["sigma2"]),
@@ -84,7 +54,7 @@ def _state_from(doc, activation_name) -> dict:
 
 def save_checkpoint(path, net_spec: NetworkSpec, w, act, hyper,
                     iteration: int, provenance: dict, chains: list | None = None,
-                    activation_name: str = "mmelu", extra: dict | None = None):
+                    activation_name: str = "mmelu"):
     """Write a checkpoint.
 
     w/act/hyper describe the point estimate (hyper may be None for the
@@ -104,8 +74,6 @@ def save_checkpoint(path, net_spec: NetworkSpec, w, act, hyper,
             for ch in (chains or [])
         ],
     }
-    if extra:
-        doc["extra"] = extra
     with open(path, "w") as fh:
         fh.write(_canon(doc))
     return doc
@@ -116,7 +84,7 @@ def load_checkpoint(path) -> dict:
 
     Returns a dict with keys: network (NetworkSpec), state (a dict of w,
     act and hyper), iteration, provenance, chains, activation_name,
-    extra, raw.
+    raw.
     """
     with open(path) as fh:
         raw = fh.read()
@@ -141,10 +109,9 @@ def load_checkpoint(path) -> dict:
                  "rng_state": ch.get("rng_state")}
                 for ch in doc.get("chains", [])
             ],
-            "extra": doc.get("extra"),
             "raw": doc,
         }
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed checkpoint: {exc!r}") from None
 
 

@@ -13,8 +13,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from . import checkpoint as ckpt
 from . import config as cfgmod
@@ -92,8 +90,7 @@ def cmd_train(args) -> int:
     if cfg["activation"] != "mmelu":
         raise ConfigError("config.activation: the sampler trains the 'mmelu' "
                           "activation; use the baseline command for the zoo")
-    model = BayesModel(net, train.inputs, train.labels, loss_kind=cfg["loss"],
-                       paper_literal=cfg["sampler"]["paper_literal_conditionals"])
+    model = BayesModel(net, train.inputs, train.labels, loss_kind=cfg["loss"])
     scfg = cfgmod.sampler_config(cfg["sampler"], args.chains)
 
     interval = cfg["eval_interval"]

@@ -242,9 +242,7 @@ _SAMPLER_SCHEMA = {
     "thin": Field(int, default=1, check=_positive),
     "adapt": Field(bool, default=True),
     "batch_size": Field(int, default=None, check=_positive),
-    "w_history_limit": Field(int, default=64, check=_non_negative),
     "scalar_subsweeps": Field(int, default=1, check=_positive),
-    "paper_literal_conditionals": Field(bool, default=False),
 }
 
 _TRAIN_SCHEMA = {
@@ -347,9 +345,9 @@ def validate_convert(doc) -> dict:
 
 
 def sampler_config(section: dict, chains_override=None) -> SamplerConfig:
-    """SamplerConfig from a validated sampler section; every key but the
-    model's paper_literal_conditionals is a SamplerConfig field."""
-    kw = {k: v for k, v in section.items() if k != "paper_literal_conditionals"}
+    """SamplerConfig from a validated sampler section; every key is a
+    SamplerConfig field."""
+    kw = dict(section)
     if chains_override:
         kw["n_chains"] = chains_override
     return SamplerConfig(**kw).validate()

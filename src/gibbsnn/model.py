@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .activations import ActivationParams
+from .activations import ACT_BOUNDS, ActivationParams, in_bounds
 from .errors import NumericalError
 from .network import LOSS_KINDS, Network
 
@@ -81,47 +81,28 @@ def l1_norms(w: list) -> np.ndarray:
     return np.array([float(np.sum(np.abs(wi))) for wi in w])
 
 
-def cond_ig_params_lambda_l(layer: int, w: list, fixed: FixedHypers,
-                            literal: bool = False):
-    """Inverse-gamma conditional for the layer's Laplace scale.
-
-    Corrected: IG(delta + K_l, mu + |W_l|_1).  The literal flag drops the
-    weight norm from the scale, reproducing a published misprint.
-    """
-    k = w[layer].size
-    if literal:
-        return fixed.delta + k, fixed.mu
-    return fixed.delta + k, fixed.mu + float(np.sum(np.abs(w[layer])))
+def cond_ig_params_lambda_l(layer: int, w: list, fixed: FixedHypers):
+    """IG(delta + K_l, mu + |W_l|_1), exact conditional of the layer's
+    Laplace scale."""
+    return fixed.delta + w[layer].size, fixed.mu + float(np.sum(np.abs(w[layer])))
 
 
 def cond_ig_params_lambda_b(b: float, fixed: FixedHypers):
     """IG(delta + 1, mu + b), exact conditional of the exponential scale."""
-    if b < 0.0:
+    if b < ACT_BOUNDS["b"][0]:
         raise ValueError(f"b must be non-negative, got {b}")
     return fixed.delta + 1.0, fixed.mu + b
 
 
-def cond_ig_params_sigma2(gamma: float, fixed: FixedHypers,
-                          literal: bool = False):
-    """Inverse-gamma conditional for the prior variance of the hat center.
-
-    Corrected: IG(delta + 1/2, mu + gamma^2/2); the 1/2s come from the
-    Gaussian's (sigma2)^(-1/2) normalization and squared exponent.  The
-    literal flag reproduces the published IG(delta, gamma + 2 mu), whose
-    scale can go non-positive; kept only for comparison.
-    """
-    if literal:
-        return fixed.delta, gamma + 2.0 * fixed.mu
+def cond_ig_params_sigma2(gamma: float, fixed: FixedHypers):
+    """IG(delta + 1/2, mu + gamma^2/2), exact conditional of the prior
+    variance of the hat center; the 1/2s come from the Gaussian's
+    (sigma2)^(-1/2) normalization and squared exponent."""
     return fixed.delta + 0.5, fixed.mu + gamma**2 / 2.0
 
 
 class BayesModel:
-    """Posterior evaluator bound to a network and a training set.
-
-    paper_literal switches two inverse-gamma conditionals to their
-    uncorrected published parameterizations; everything else, including
-    log_posterior, always uses the corrected forms.
-    """
+    """Posterior evaluator bound to a network and a training set."""
 
     def __init__(
         self,
@@ -130,7 +111,6 @@ class BayesModel:
         labels: np.ndarray,
         fixed: FixedHypers | None = None,
         loss_kind: str = "cross-entropy",
-        paper_literal: bool = False,
     ):
         if loss_kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss kind {loss_kind!r}")
@@ -139,7 +119,6 @@ class BayesModel:
         self.labels = np.asarray(labels)
         self.fixed = fixed or FixedHypers()
         self.loss_kind = loss_kind
-        self.paper_literal = paper_literal
         self.n_data = int(self.inputs.shape[0])
         self.targets = net.targets(self.labels)  # float, one-hot for class labels
 
@@ -220,15 +199,17 @@ class BayesModel:
 
     def act_log_prior(self, block: str, value: float, state: ModelState) -> float:
         """Log prior of one activation parameter at `value`, up to
-        constants: 0 for c on [0, 1], -gamma^2 / (2 sigma2) for gamma,
-        -b / lam_b for b on [0, inf); -inf off the support."""
-        if block == "c":
-            return 0.0 if 0.0 <= value <= 1.0 else -np.inf
+        constants: 0 for c, -gamma^2 / (2 sigma2) for gamma, -b / lam_b
+        for b; -inf off the support ACT_BOUNDS."""
+        if block not in ACT_BOUNDS:
+            raise ValueError(f"no activation parameter {block!r}")
+        if not in_bounds(block, value):
+            return -np.inf
         if block == "gamma":
-            return -(value**2 / (2.0 * state.hyper.sigma2)) if math.isfinite(value) else -np.inf
+            return -(value**2 / (2.0 * state.hyper.sigma2))
         if block == "b":
-            return -(value / state.hyper.lam_b) if value >= 0.0 else -np.inf
-        raise ValueError(f"no activation parameter {block!r}")
+            return -(value / state.hyper.lam_b)
+        return 0.0
 
     def act_conditional(self, block: str, value: float, state: ModelState,
                         subset=None):
@@ -264,25 +245,20 @@ class BayesModel:
     # -- exact inverse-gamma conditionals ------------------------------------
 
     def ig_params(self, block: str, state: ModelState, layer: int | None = None):
-        """(shape, scale) of the inverse-gamma conditional for a scale block.
+        """(shape, scale) of the inverse-gamma conditional for a scale block:
 
-        Corrected forms (default):
             lambda_l | W   ~ IG(delta + K_l, mu + |W_l|_1)
             lambda_b | b   ~ IG(delta + 1,   mu + b)
             sigma2  | gamma ~ IG(delta + 1/2, mu + gamma^2 / 2)
-
-        paper_literal instead reproduces the published parameterizations
-        IG(delta + K_l, mu) and IG(delta, gamma + 2 mu) for comparison;
-        lambda_b is unaffected.
         """
         if block == "lambda_l":
             if layer is None:
                 raise ValueError("lambda_l conditional needs a layer index")
-            return cond_ig_params_lambda_l(layer, state.w, self.fixed, self.paper_literal)
+            return cond_ig_params_lambda_l(layer, state.w, self.fixed)
         if block == "lambda_b":
             return cond_ig_params_lambda_b(state.act.b, self.fixed)
         if block == "sigma2":
-            return cond_ig_params_sigma2(state.act.gamma, self.fixed, self.paper_literal)
+            return cond_ig_params_sigma2(state.act.gamma, self.fixed)
         raise ValueError(f"no inverse-gamma conditional for block {block!r}")
 
 
@@ -290,6 +266,6 @@ def init_state(net: Network, rng: np.random.Generator) -> ModelState:
     """Default chain start: He-scaled weights, centered activation triple,
     unit scales."""
     w = net.init_weights(rng)
-    act = ActivationParams(c=0.5, gamma=0.0, b=1.0)
+    act = ActivationParams()
     hyper = HyperState(lam=np.ones(net.n_layers), lam_b=1.0, sigma2=1.0)
     return ModelState(w, act, hyper)

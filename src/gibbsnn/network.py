@@ -22,11 +22,11 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .activations import ActivationParams, activation_grads, activation_slope, activation_value
+from .activations import activation_grads, activation_slope, activation_value
 from .errors import NumericalError, ShapeError
 
 KERNEL = 3
@@ -334,7 +334,7 @@ class Network:
         loss, g = output_loss(out, yb, loss_kind, average, grad=True)
 
         grad_w = [np.zeros_like(wi) for wi in w]
-        grad_act = _zero_param_grads(self.activation_name, act_params) if param_grads else None
+        grad_act = {} if param_grads else None
 
         layers = self.spec.layers
         stop = self._backward_stop[bool(param_grads)]
@@ -371,9 +371,10 @@ class Network:
                     d_x, d_params = activation_grads(layer.activation, act_params, cache)
                     for name, dval in d_params.items():
                         if dval.ndim == g.ndim:
-                            grad_act[name] += float(np.sum(g * dval))
+                            d = float(np.sum(g * dval))
                         else:  # vector parameter: leading axis indexes components
-                            grad_act[name] += np.tensordot(dval, g, axes=g.ndim)
+                            d = np.tensordot(dval, g, axes=g.ndim)
+                        grad_act[name] = grad_act.get(name, 0.0) + d
                 else:
                     d_x = activation_slope(layer.activation, act_params, cache)
                 g = g * d_x
@@ -386,20 +387,6 @@ class Network:
                     f"non-finite gradient {float(bad.flat[0])} at layer {i} ({layer.kind})"
                 )
         return grad_w, grad_act, loss
-
-
-def _zero_param_grads(name, params):
-    if name is None:
-        return {}
-    if isinstance(params, ActivationParams):
-        return {"c": 0.0, "gamma": 0.0, "b": 0.0}
-    out = {}
-    for key, val in params.items():
-        if key == "basis":
-            continue
-        arr = np.asarray(val, dtype=np.float64)
-        out[key] = np.zeros_like(arr) if arr.ndim else 0.0
-    return out
 
 
 def _prepare_targets(y, n, out_shape, single):

@@ -6,8 +6,9 @@ support boundaries), exact inverse-gamma draws for the three scale blocks,
 and a proximal non-smooth HMC move for the weight vector.
 
 Proposal scales and the HMC step size adapt by Robbins-Monro on log scale
-during burn-in only (targets: 0.40 for the scalar moves, 0.65 for HMC),
-then stay frozen so the post-burn-in chain is a valid MCMC kernel.
+during burn-in only (targets TARGET_ACCEPT_MH for the scalar moves,
+TARGET_ACCEPT_HMC for HMC), then stay frozen so the post-burn-in chain
+is a valid MCMC kernel.
 
 Mini-batch energies (SamplerConfig.batch_size) are supported but make the
 target approximate; full batch is the default and the exact mode.
@@ -19,10 +20,15 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .activations import ActivationParams
+from .activations import ACT_BOUNDS, ActivationParams
 from .errors import ConfigError, NumericalError
 from .model import BayesModel, HyperState, ModelState, init_state
 from .network import concat_weights, split_weights
+
+TARGET_ACCEPT_MH = 0.40  # burn-in adaptation targets of the scalar moves
+TARGET_ACCEPT_HMC = 0.65  # and of the weight move
+DIVERGENCE_THRESHOLD = 1000.0  # |delta H| beyond which a trajectory is divergent
+W_HISTORY_LIMIT = 64  # above this many weights only running moments are kept
 
 
 # --- low-level draws -------------------------------------------------------
@@ -104,8 +110,7 @@ def mh_step(value: float, current, evaluate, rng: np.random.Generator,
 # --- non-smooth HMC --------------------------------------------------------
 
 
-def nshmc_step(q, rng, energy_grad, l1_scale, step, n_leapfrog,
-               divergence_threshold=1000.0):
+def nshmc_step(q, rng, energy_grad, l1_scale, step, n_leapfrog):
     """One proximal-leapfrog HMC trajectory on potential
     U(q) = E(q) + sum_i |q_i| / l1_scale_i, where energy_grad(q) returns
     the pair (E(q), grad E(q)).
@@ -125,7 +130,8 @@ def nshmc_step(q, rng, energy_grad, l1_scale, step, n_leapfrog,
     final one's, so no separate energy evaluation is made.
 
     Returns (q_new, info) with info keys: accepted, divergent, delta_h,
-    accept_prob, energy (E at the returned point).
+    accept_prob, energy (E at the returned point).  A trajectory whose
+    |delta H| exceeds DIVERGENCE_THRESHOLD, or is not finite, is divergent.
     """
     q = np.asarray(q, dtype=np.float64)
     l1_scale = np.broadcast_to(np.asarray(l1_scale, dtype=np.float64), q.shape)
@@ -153,7 +159,7 @@ def nshmc_step(q, rng, energy_grad, l1_scale, step, n_leapfrog,
     h1 = e1 + float(np.sum(np.abs(qn) / l1_scale)) + 0.5 * float(p @ p)
     dh = h1 - h0
 
-    if not np.isfinite(dh) or abs(dh) > divergence_threshold:
+    if not np.isfinite(dh) or abs(dh) > DIVERGENCE_THRESHOLD:
         return q, {"accepted": False, "divergent": True, "delta_h": dh,
                    "accept_prob": 0.0, "energy": e0}
     # exp(min(0, -dh)) never overflows, however far H falls
@@ -174,9 +180,7 @@ class SamplerConfig:
 
     n_sweeps counts total sweeps including burn_in; burn_in draws are kept
     in the trace (for plots) but excluded from estimators.  batch_size
-    turns on approximate mini-batch energies.  w_history_limit caps the
-    weight count up to which full post-burn-in weight draws are retained;
-    above it only running mean/variance accumulators are kept.
+    turns on approximate mini-batch energies.
     """
 
     n_sweeps: int = 1000
@@ -187,13 +191,9 @@ class SamplerConfig:
     mh_scale_c: float = 0.25
     mh_scale_gamma: float = 0.25
     mh_scale_b: float = 0.25
-    target_accept_mh: float = 0.40
-    target_accept_hmc: float = 0.65
-    divergence_threshold: float = 1000.0
     thin: int = 1
     adapt: bool = True
     batch_size: int | None = None
-    w_history_limit: int = 64
     update_weights: bool = True
     update_activation: bool = True
     # extra MH refreshes of c/gamma/b per sweep; 1 reproduces the printed
@@ -267,9 +267,8 @@ class ChainTrace:
 
     def record(self, it, state: ModelState, energy, log_post, flags: dict):
         self.iteration.append(it)
-        self.columns["c"].append(state.act.c)
-        self.columns["gamma"].append(state.act.gamma)
-        self.columns["b"].append(state.act.b)
+        for name in ACT_BOUNDS:
+            self.columns[name].append(state.act[name])
         self.columns["sigma2"].append(state.hyper.sigma2)
         self.columns["lambda_b"].append(state.hyper.lam_b)
         self.lam.append(state.hyper.lam.copy())
@@ -337,9 +336,6 @@ class ChainTrace:
 
 # --- the sweep --------------------------------------------------------------
 
-# (block, lower, upper) of the activation moves, in sweep order
-ACT_MOVES = (("c", 0.0, 1.0), ("gamma", None, None), ("b", 0.0, None))
-
 
 def _draw_ig(model, block, state, rng, it, layer=None):
     shape, scale = model.ig_params(block, state, layer)
@@ -360,7 +356,8 @@ def gibbs_sweep(model: BayesModel, chain: ChainState, cfg: SamplerConfig,
     """One full sweep in the fixed block order; mutates chain in place.
 
     c, gamma and b move by mh_step on model.act_conditional, the
-    conditionals cond_logdensity reports, in one loop over ACT_MOVES run
+    conditionals cond_logdensity reports, in one loop over ACT_BOUNDS (the
+    blocks in sweep order, reflected at their bounds) run
     scalar_subsweeps times.  chain.energy carries the data energy of the
     current point between moves, so each move evaluates its candidate
     only.  The exact scale draws and the weight HMC follow.
@@ -385,7 +382,7 @@ def gibbs_sweep(model: BayesModel, chain: ChainState, cfg: SamplerConfig,
 
     if cfg.update_activation:
         for _ in range(cfg.scalar_subsweeps):
-            for block, lower, upper in ACT_MOVES:
+            for block, (lower, upper) in ACT_BOUNDS.items():
                 value = getattr(st.act, block)
                 current = (-chain.energy + model.act_log_prior(block, value, st), chain.energy)
                 value, acc, (_, chain.energy) = mh_step(
@@ -397,7 +394,7 @@ def gibbs_sweep(model: BayesModel, chain: ChainState, cfg: SamplerConfig,
                 chain.accept_counts[block] += acc
                 flags[f"accept_{block}"] = acc
                 if adapting:
-                    chain.mh_scales[block] *= math.exp(eta * (float(acc) - cfg.target_accept_mh))
+                    chain.mh_scales[block] *= math.exp(eta * (float(acc) - TARGET_ACCEPT_MH))
 
     # exact scale draws
     st.hyper.sigma2 = _draw_ig(model, "sigma2", st, rng, it)
@@ -421,8 +418,7 @@ def gibbs_sweep(model: BayesModel, chain: ChainState, cfg: SamplerConfig,
 
         q1, info = nshmc_step(
             concat_weights(st.w), rng, energy_grad, l1_scale,
-            chain.step_size, cfg.leapfrog_steps,
-            divergence_threshold=cfg.divergence_threshold)
+            chain.step_size, cfg.leapfrog_steps)
         if info["accepted"]:
             st.w = split_weights(q1, lengths)
             chain.energy = info["energy"]
@@ -436,7 +432,7 @@ def gibbs_sweep(model: BayesModel, chain: ChainState, cfg: SamplerConfig,
                 chain.step_size *= 0.5
             else:
                 chain.step_size *= math.exp(
-                    eta * (info["accept_prob"] - cfg.target_accept_hmc))
+                    eta * (info["accept_prob"] - TARGET_ACCEPT_HMC))
 
     chain.iteration += 1
     return flags
@@ -458,7 +454,7 @@ def run_chain(model: BayesModel, cfg: SamplerConfig, rng: np.random.Generator,
     chain = ChainState(
         model=st, rng=rng, step_size=cfg.step_size,
         mh_scales={"c": cfg.mh_scale_c, "gamma": cfg.mh_scale_gamma, "b": cfg.mh_scale_b})
-    keep_hist = model.net.n_weights <= cfg.w_history_limit
+    keep_hist = model.net.n_weights <= W_HISTORY_LIMIT
     trace = ChainTrace(chain_id, model.net.n_layers, model.net.n_weights, keep_hist)
 
     for sweep in range(cfg.n_sweeps):
@@ -510,8 +506,7 @@ class PosteriorSummary:
     n_samples: int
 
     def activation(self) -> ActivationParams:
-        return ActivationParams(
-            c=self.means["c"], gamma=self.means["gamma"], b=self.means["b"])
+        return ActivationParams(**{name: self.means[name] for name in ACT_BOUNDS})
 
     def hyper(self, n_layers: int) -> HyperState:
         lam = np.array([self.means[f"lambda_{i + 1}"] for i in range(n_layers)])

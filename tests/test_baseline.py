@@ -359,6 +359,15 @@ class TestConfigValidation:
     def test_zero_learning_rate_allowed(self):
         BaselineConfig(learning_rate=0.0).validate()
 
+    def test_act_params_checked_against_the_registry(self):
+        """Overrides must name the activation's own parameters."""
+        for kw in (dict(activation="prelu", act_params={"beta": 1.0}),
+                   dict(activation="mmelu", act_params={"alpha": 0.1}),
+                   dict(activation="prelu", act_params={"alpha": "x"})):
+            with pytest.raises(ConfigError):
+                BaselineConfig(**kw).validate()
+        BaselineConfig(activation="melu", act_params={"c": [0, 1, 0, 0]}).validate()
+
 
 class TestWriteHistory:
     def test_csv_round_trip(self, tmp_path):

@@ -27,3 +27,22 @@ def test_workload_runs_and_checks(workload):
     assert result["correct"] is True
     assert result["failed"] == 0
     assert result["attempted"] > 0
+
+
+
+@pytest.mark.parametrize("kind", ("sampler", "baseline"))
+def test_trace_hooks_install(kind, monkeypatch):
+    """`--trace 1` wraps names the rounds above never touch, such as
+    network.activation_grads and samplers.sample_inverse_gamma: installing
+    its tracer fails if one was renamed, and removing it restores them."""
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "bench"))
+    import probes
+
+    tracer = probes.Tracer(kind).install()
+    originals = {}
+    for owner, name, orig in tracer.patches._saved:  # first save is the original
+        originals.setdefault((owner, name), orig)
+    assert originals
+    tracer.remove()
+    for (owner, name), orig in originals.items():
+        assert getattr(owner, name) is orig

@@ -5,10 +5,13 @@ the block conditional and the full log joint must differ by a constant in
 the block variable.  Any factor dropped or double-counted shows up there.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from gibbsnn.activations import ActivationParams
+import gibbsnn.samplers as samplers
+from gibbsnn.activations import ACT_BOUNDS, ActivationParams, in_bounds, with_values
 from gibbsnn.errors import NumericalError
 from gibbsnn.model import (
     BayesModel,
@@ -22,16 +25,17 @@ from gibbsnn.model import (
     l1_norms,
 )
 from gibbsnn.network import Network, NetworkSpec, act, dense, softmax_layer
+from gibbsnn.samplers import SamplerConfig, mh_step, reflect_into
 
 
-def _toy_model(loss_kind="squared-error", n=12, seed=0, paper_literal=False):
+def _toy_model(loss_kind="squared-error", n=12, seed=0):
     """3-weight toy: 1 input, 1 hidden unit, 1 output, no softmax."""
     layers = [dense(1, 1), act("mmelu"), dense(1, 1)]
     net = Network(NetworkSpec(layers, (1,), 1))
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, 1))
     y = rng.normal(size=(n, 1))
-    model = BayesModel(net, x, y, loss_kind=loss_kind, paper_literal=paper_literal)
+    model = BayesModel(net, x, y, loss_kind=loss_kind)
     return net, model, rng
 
 
@@ -117,6 +121,77 @@ class TestSupport:
         for _ in range(20):
             st = _random_state(net, rng)
             assert np.isfinite(model.log_posterior(st))
+
+
+class TestBoundsHaveOneDefinition:
+    """ACT_BOUNDS is the only statement of the support of (c, gamma, b):
+    in_support, the log prior, the sweep's reflection bounds and the
+    baseline's projection must all agree with it."""
+
+    # boundary values, points just outside, far points, +-inf and nan
+    VALUES = {
+        "c": (0.0, 1.0, 0.5, -1e-12, 1.0 + 1e-12, 1.5, -3.0, np.inf, -np.inf, np.nan),
+        "gamma": (0.0, -3.0, 1e100, -1e100, np.inf, -np.inf, np.nan),
+        "b": (0.0, 2.0, -1e-12, -0.1, 1e300, np.inf, -np.inf, np.nan),
+    }
+
+    @staticmethod
+    def _legal(name, v):
+        # the support written out by hand, independently of ACT_BOUNDS
+        if not np.isfinite(v):
+            return False
+        return {"c": 0.0 <= v <= 1.0, "gamma": True, "b": v >= 0.0}[name]
+
+    def test_table(self):
+        assert ACT_BOUNDS == {"c": (0.0, 1.0), "gamma": (None, None), "b": (0.0, None)}
+        for name, values in self.VALUES.items():
+            for v in values:
+                assert in_bounds(name, v) == self._legal(name, v), (name, v)
+
+    def test_support_and_log_prior(self):
+        net, model, rng = _toy_model()
+        st = _random_state(net, rng)
+        for name, values in self.VALUES.items():
+            for v in values:
+                legal = self._legal(name, v)
+                # b = inf is out of support: its log prior is -inf too
+                assert replace(ActivationParams(), **{name: v}).in_support == legal, (name, v)
+                lp = model.act_log_prior(name, v, st)
+                assert np.isfinite(lp) == legal and (legal or lp == -np.inf), (name, v)
+        assert not ActivationParams(c=1.5).in_support
+        assert not ActivationParams(b=-0.1).in_support
+        assert ActivationParams(c=1.0, gamma=-3.0, b=0.0).in_support
+
+    def test_sweep_reflects_at_the_bounds(self, monkeypatch):
+        net, model, rng = _toy_model()
+        seen = []
+
+        def spy(value, current, evaluate, rng, scale, lower=None, upper=None):
+            seen.append((lower, upper))
+            return mh_step(value, current, evaluate, rng, scale, lower, upper)
+
+        monkeypatch.setattr(samplers, "mh_step", spy)
+        chain = samplers.ChainState(model=init_state(net, rng), rng=rng)
+        samplers.gibbs_sweep(model, chain, SamplerConfig(scalar_subsweeps=2), adapting=False)
+        assert seen == [ACT_BOUNDS[k] for k in ("c", "gamma", "b")] * 2
+        for name, values in self.VALUES.items():
+            for v in values:
+                if np.isfinite(v) and abs(v) < 1e6:
+                    assert self._legal(name, reflect_into(v, *ACT_BOUNDS[name])), (name, v)
+
+    def test_baseline_projection(self):
+        for name, values in self.VALUES.items():
+            lower, upper = ACT_BOUNDS[name]
+            for v in values:
+                got = with_values(ActivationParams(), (name,), [v])[name]
+                if self._legal(name, v):
+                    assert got == v, (name, v)
+                elif lower is not None and v < lower:
+                    assert got == lower, (name, v)
+                elif upper is not None and v > upper:
+                    assert got == upper, (name, v)
+                else:  # nan, or an infinity on an open side, stays illegal
+                    assert not self._legal(name, got), (name, v)
 
 
 class TestConditionalConsistency:
@@ -248,14 +323,6 @@ class TestInverseGammaParams:
         np.testing.assert_allclose((shape, scale), (0.501, 1e-3), rtol=1e-12)
         shape, scale = cond_ig_params_sigma2(2.0, self.FIXED)
         np.testing.assert_allclose((shape, scale), (0.501, 2.001), rtol=1e-12)
-
-    def test_literal_mode_forms(self):
-        """The comparison flag reproduces the uncorrected parameterizations."""
-        w = [np.full(10, 0.25)]
-        shape, scale = cond_ig_params_lambda_l(0, w, self.FIXED, literal=True)
-        np.testing.assert_allclose((shape, scale), (10.001, 1e-3), rtol=1e-12)
-        shape, scale = cond_ig_params_sigma2(2.0, self.FIXED, literal=True)
-        np.testing.assert_allclose((shape, scale), (1e-3, 2.002), rtol=1e-12)
 
     def test_model_dispatch_matches_free_functions(self):
         net, model, rng = _toy_model(seed=2)
