@@ -206,7 +206,14 @@ def cmd_diag(args) -> int:
     if not args.traces:
         raise ConfigError("diag needs at least one trace CSV path")
     traces = [diag.load_trace(p) for p in args.traces]
-    rows = diag.summarize(traces, args.burn_in)
+    for path, t in zip(args.traces[1:], traces[1:]):
+        if t.header != traces[0].header:
+            raise ConfigError(f"{args.traces[0]} and {path} have different trace "
+                              f"columns; traces of one net are needed")
+    try:
+        rows = diag.summarize(traces, args.burn_in)
+    except ValueError as exc:
+        raise ConfigError(f"--burn-in {args.burn_in}: {exc}") from None
     out = args.out
     if out:
         _ensure_out(out)

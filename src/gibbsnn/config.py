@@ -14,7 +14,7 @@ from .activations import registered_names
 from .baseline import BaselineConfig
 from .errors import ConfigError
 from .network import LOSS_KINDS, LayerSpec, Network, NetworkSpec
-from .presets import build_preset, mlp
+from .presets import PRESETS, build_preset, mlp
 from .samplers import SamplerConfig
 
 
@@ -214,6 +214,9 @@ def build_network(doc, activation, train=None):
             raise ConfigError(f"config.network.layers: {exc}") from None
 
     preset = doc["preset"]
+    if preset not in ("mlp", *PRESETS):
+        raise ConfigError(f"config.network.preset: unknown preset {preset!r}; known: "
+                          f"{sorted(['mlp', *PRESETS])}, or a 'layers' list in place of 'preset'")
     if preset == "mlp":
         hidden = tuple(doc.get("hidden") or (8,))
         if len(input_shape) != 1:
@@ -221,10 +224,7 @@ def build_network(doc, activation, train=None):
                 f"config.network: preset 'mlp' needs flat inputs, got {input_shape}")
         spec, dropout = mlp(input_shape[0], classes, hidden, activation)
     else:
-        try:
-            spec, dropout = build_preset(preset, input_shape, classes, activation)
-        except KeyError as exc:
-            raise ConfigError(f"config.network.preset: {exc.args[0]}") from None
+        spec, dropout = build_preset(preset, input_shape, classes, activation)
     return Network(spec), dropout
 
 
@@ -236,9 +236,6 @@ _SAMPLER_SCHEMA = {
     "n_chains": Field(int, default=2, check=_positive),
     "leapfrog_steps": Field(int, default=5, check=_positive),
     "step_size": Field(float, default=0.02, check=_positive),
-    "mh_scale_c": Field(float, default=0.25, check=_positive),
-    "mh_scale_gamma": Field(float, default=0.25, check=_positive),
-    "mh_scale_b": Field(float, default=0.25, check=_positive),
     "thin": Field(int, default=1, check=_positive),
     "adapt": Field(bool, default=True),
     "batch_size": Field(int, default=None, check=_positive),

@@ -10,11 +10,11 @@ import csv
 
 import numpy as np
 
-from .samplers import ChainTrace
+from .errors import FormatError
+from .samplers import FLAG_FIELDS, ChainTrace
 
 # a perfectly antithetic series has unbounded nominal ESS; reports cap here
 ESS_CAP_FACTOR = 10.0
-RHAT_THRESHOLD = 1.1  # field-standard convergence cutoff used by gates
 
 
 def autocovariance(x: np.ndarray) -> np.ndarray:
@@ -140,23 +140,25 @@ def write_report(rows, path):
 def load_trace(path) -> ChainTrace:
     """Read a trace CSV written by ChainTrace.to_csv back into a trace.
 
-    Weight accumulators are not part of the CSV and come back empty.
+    A missing flag column reads as 0.  A missing column of any other
+    kind, a non-numeric or missing cell, or a file without rows raises
+    FormatError.  Weight accumulators are not part of the CSV and come
+    back empty.
     """
     with open(path, newline="") as fh:
-        rd = csv.reader(fh)
-        header = next(rd)
-        rows = [row for row in rd if row]
-    lam_cols = [h for h in header if h.startswith("lambda_") and h != "lambda_b"]
-    n_layers = len(lam_cols)
+        rows = [row for row in csv.reader(fh) if row]
+    if len(rows) < 2:
+        raise FormatError(f"{path}: no trace rows")
+    header = rows[0]
+    n_layers = sum(1 for h in header if h.startswith("lambda_") and h != "lambda_b")
     trace = ChainTrace(0, n_layers, 0, keep_w_history=False)
-    col = {h: i for i, h in enumerate(header)}
-    for row in rows:
-        trace.iteration.append(int(row[col["iteration"]]))
-        for f in trace.scalar_fields:
-            trace.columns[f].append(float(row[col[f]]))
-        trace.lam.append([float(row[col[f"lambda_{i + 1}"]]) for i in range(n_layers)])
-        trace.energy.append(float(row[col["energy"]]))
-        trace.log_posterior.append(float(row[col["log_posterior"]]))
-        for f in trace.flag_fields:
-            trace.flags[f].append(int(row[col[f]]) if f in col else 0)
+    missing = [h for h in trace.header if h not in header and h not in FLAG_FIELDS]
+    if missing:
+        raise FormatError(f"{path}: missing trace columns {missing}")
+    cols = [header.index(h) if h in header else None for h in trace.header]
+    try:
+        trace.table = [[0.0 if j is None else float(row[j]) for j in cols]
+                       for row in rows[1:]]
+    except (IndexError, ValueError) as exc:
+        raise FormatError(f"{path}: bad trace row: {exc}") from None
     return trace.finalize()

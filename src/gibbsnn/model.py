@@ -97,8 +97,12 @@ def cond_ig_params_lambda_b(b: float, fixed: FixedHypers):
 def cond_ig_params_sigma2(gamma: float, fixed: FixedHypers):
     """IG(delta + 1/2, mu + gamma^2/2), exact conditional of the prior
     variance of the hat center; the 1/2s come from the Gaussian's
-    (sigma2)^(-1/2) normalization and squared exponent."""
-    return fixed.delta + 0.5, fixed.mu + gamma**2 / 2.0
+    (sigma2)^(-1/2) normalization and squared exponent; the scale is
+    infinite where gamma^2 overflows."""
+    try:
+        return fixed.delta + 0.5, fixed.mu + gamma**2 / 2.0
+    except OverflowError:
+        return fixed.delta + 0.5, math.inf
 
 
 class BayesModel:
@@ -200,13 +204,16 @@ class BayesModel:
     def act_log_prior(self, block: str, value: float, state: ModelState) -> float:
         """Log prior of one activation parameter at `value`, up to
         constants: 0 for c, -gamma^2 / (2 sigma2) for gamma, -b / lam_b
-        for b; -inf off the support ACT_BOUNDS."""
+        for b; -inf off the support ACT_BOUNDS or where gamma^2 overflows."""
         if block not in ACT_BOUNDS:
             raise ValueError(f"no activation parameter {block!r}")
         if not in_bounds(block, value):
             return -np.inf
         if block == "gamma":
-            return -(value**2 / (2.0 * state.hyper.sigma2))
+            try:
+                return -(value**2 / (2.0 * state.hyper.sigma2))
+            except OverflowError:
+                return -np.inf
         if block == "b":
             return -(value / state.hyper.lam_b)
         return 0.0

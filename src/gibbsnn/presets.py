@@ -14,9 +14,6 @@ from .activations import registered_names
 from .network import (
     NetworkSpec, act, conv2d, dense, flatten, maxpool, softmax_layer)
 
-PRESET_NAMES = ("cnn1", "cnn2", "deep")
-
-
 def _conv_block(layers, dropout, n_convs, out_c, in_c, activation, spatial, rate):
     for _ in range(n_convs):
         layers.append(conv2d(out_c, in_c))
@@ -92,11 +89,13 @@ def mlp(n_features, classes=2, hidden=(8,), activation="mmelu"):
     return NetworkSpec(tuple(layers), (n_features,), classes), {}
 
 
+PRESETS = {"cnn1": cnn1, "cnn2": cnn2, "deep": deep}  # mlp takes hidden widths instead
+
+
 def build_preset(name, input_shape, classes, activation="mmelu"):
     """Preset dispatch used by configuration loading."""
     if activation not in registered_names():
         raise KeyError(f"unknown activation {activation!r}")
-    table = {"cnn1": cnn1, "cnn2": cnn2, "deep": deep}
-    if name not in table:
-        raise KeyError(f"unknown preset {name!r}; known: {sorted(table)} or 'custom'")
-    return table[name](tuple(input_shape), classes, activation)
+    if name not in PRESETS:
+        raise KeyError(f"unknown preset {name!r}; known: {sorted(PRESETS)}")
+    return PRESETS[name](tuple(input_shape), classes, activation)

@@ -25,6 +25,7 @@ from .errors import ConfigError, NumericalError
 from .model import BayesModel, HyperState, ModelState, init_state
 from .network import concat_weights, split_weights
 
+MH_SCALE = 0.25  # initial proposal scale of the scalar moves
 TARGET_ACCEPT_MH = 0.40  # burn-in adaptation targets of the scalar moves
 TARGET_ACCEPT_HMC = 0.65  # and of the weight move
 DIVERGENCE_THRESHOLD = 1000.0  # |delta H| beyond which a trajectory is divergent
@@ -67,7 +68,9 @@ def sample_inverse_gamma(shape: float, scale: float, rng: np.random.Generator) -
     """Draw X with density proportional to x^(-1-shape) exp(-scale/x)."""
     if shape <= 0.0 or scale <= 0.0:
         raise ValueError(f"shape and scale must be positive, got {shape}, {scale}")
-    return scale / sample_gamma_shape(rng, shape)
+    g = sample_gamma_shape(rng, shape)
+    # a boosted draw for a tiny shape can underflow to 0.0
+    return scale / g if g > 0.0 else math.inf
 
 
 def soft_threshold(x, tau):
@@ -188,9 +191,6 @@ class SamplerConfig:
     n_chains: int = 2
     leapfrog_steps: int = 5
     step_size: float = 0.02
-    mh_scale_c: float = 0.25
-    mh_scale_gamma: float = 0.25
-    mh_scale_b: float = 0.25
     thin: int = 1
     adapt: bool = True
     batch_size: int | None = None
@@ -231,7 +231,7 @@ class ChainState:
     rng: np.random.Generator
     iteration: int = 0
     step_size: float = 0.02
-    mh_scales: dict = field(default_factory=lambda: {"c": 0.25, "gamma": 0.25, "b": 0.25})
+    mh_scales: dict = field(default_factory=lambda: dict.fromkeys(ACT_BOUNDS, MH_SCALE))
     accept_counts: dict = field(default_factory=lambda: {"c": 0, "gamma": 0, "b": 0, "w": 0})
     proposal_counts: dict = field(default_factory=lambda: {"c": 0, "gamma": 0, "b": 0, "w": 0})
     divergences: int = 0
@@ -242,96 +242,70 @@ class ChainState:
                 for k in self.accept_counts}
 
 
-class ChainTrace:
-    """Column-wise record of one chain, plus weight posterior accumulators."""
+FLAG_FIELDS = ("accept_c", "accept_gamma", "accept_b", "accept_w", "divergent")
 
-    scalar_fields = ("c", "gamma", "b", "sigma2", "lambda_b")
-    flag_fields = ("accept_c", "accept_gamma", "accept_b", "accept_w", "divergent")
+
+class ChainTrace:
+    """One chain's record: a row per recorded sweep under `header`, the
+    trace CSV's columns, plus post-burn-in weight accumulators."""
 
     def __init__(self, chain_id: int, n_layers: int, n_weights: int,
                  keep_w_history: bool):
         self.chain_id = chain_id
-        self.n_layers = n_layers
-        self.iteration = []
-        self.columns = {f: [] for f in self.scalar_fields}
-        self.lam = []
-        self.energy = []
-        self.log_posterior = []
-        self.flags = {f: [] for f in self.flag_fields}
-        # post-burn-in weight accumulators (Welford over the flat vector)
+        self.header = (["iteration", *ACT_BOUNDS, "sigma2", "lambda_b"]
+                       + [f"lambda_{i + 1}" for i in range(n_layers)]
+                       + ["energy", "log_posterior", *FLAG_FIELDS])
+        self.table = []  # rows until finalize() makes one float64 array
+        # post-burn-in weight accumulators (running mean over the flat vector)
         self.w_count = 0
         self.w_mean = np.zeros(n_weights)
-        self.w_m2 = np.zeros(n_weights)
         self.w_history = [] if keep_w_history else None
         self.final_state = None
 
     def record(self, it, state: ModelState, energy, log_post, flags: dict):
-        self.iteration.append(it)
-        for name in ACT_BOUNDS:
-            self.columns[name].append(state.act[name])
-        self.columns["sigma2"].append(state.hyper.sigma2)
-        self.columns["lambda_b"].append(state.hyper.lam_b)
-        self.lam.append(state.hyper.lam.copy())
-        self.energy.append(energy)
-        self.log_posterior.append(log_post)
-        for f in self.flag_fields:
-            self.flags[f].append(int(flags.get(f, 0)))
+        act, hyper = state.act, state.hyper
+        self.table.append([it, *[getattr(act, name) for name in ACT_BOUNDS],
+                           hyper.sigma2, hyper.lam_b, *hyper.lam.tolist(), energy,
+                           log_post, *[flags.get(f, 0) for f in FLAG_FIELDS]])
 
     def accumulate_weights(self, w: list):
         flat = concat_weights(w)
         self.w_count += 1
-        d = flat - self.w_mean
-        self.w_mean += d / self.w_count
-        self.w_m2 += d * (flat - self.w_mean)
+        self.w_mean += (flat - self.w_mean) / self.w_count
         if self.w_history is not None:
             self.w_history.append(flat)
 
     def finalize(self):
-        self.iteration = np.asarray(self.iteration, dtype=np.int64)
-        for f in self.scalar_fields:
-            self.columns[f] = np.asarray(self.columns[f])
-        self.lam = np.asarray(self.lam) if self.lam else np.zeros((0, self.n_layers))
-        self.energy = np.asarray(self.energy)
-        self.log_posterior = np.asarray(self.log_posterior)
-        for f in self.flag_fields:
-            self.flags[f] = np.asarray(self.flags[f], dtype=np.int64)
+        self.table = np.array(self.table, dtype=np.float64).reshape(-1, len(self.header))
         if self.w_history is not None:
             self.w_history = (np.asarray(self.w_history) if self.w_history
                               else np.zeros((0, self.w_mean.size)))
         return self
 
     def series(self, name: str) -> np.ndarray:
-        """Trace column by name; lambda_1..lambda_L address prior scales."""
-        if name in self.columns:
-            return self.columns[name]
-        if name.startswith("lambda_"):
-            idx = int(name.split("_", 1)[1])
-            return self.lam[:, idx - 1]
-        if name == "energy":
-            return self.energy
-        if name == "log_posterior":
-            return self.log_posterior
-        raise KeyError(f"no trace column {name!r}")
+        """The column `name` of `header`."""
+        if name not in self.header:
+            raise KeyError(f"no trace column {name!r}")
+        return self.table[:, self.header.index(name)]
+
+    @property
+    def iteration(self) -> np.ndarray:
+        """The iteration column, float64 like every column of `table`."""
+        return self.series("iteration")
 
     def parameter_names(self) -> list:
-        return list(self.scalar_fields) + [f"lambda_{i + 1}" for i in range(self.n_layers)]
+        """c, gamma, b, sigma2, lambda_b, lambda_1..L."""
+        return self.header[1:self.header.index("energy")]
 
     def to_csv(self, path):
-        """iteration, c, gamma, b, sigma2, lambda_b, lambda_1..L, energy,
-        log_posterior, accept flags; one row per recorded sweep."""
-        header = (["iteration"] + list(self.scalar_fields)
-                  + [f"lambda_{i + 1}" for i in range(self.n_layers)]
-                  + ["energy", "log_posterior"] + list(self.flag_fields))
+        """The table under its header; iteration and flags as integers,
+        every other cell as repr(float), which parses back exactly."""
+        ints = {0, *range(len(self.header) - len(FLAG_FIELDS), len(self.header))}
         with open(path, "w", newline="") as fh:
             wr = csv.writer(fh)
-            wr.writerow(header)
-            for i in range(len(self.iteration)):
-                row = [int(self.iteration[i])]
-                row += [repr(float(self.columns[f][i])) for f in self.scalar_fields]
-                row += [repr(float(v)) for v in self.lam[i]]
-                row += [repr(float(self.energy[i])), repr(float(self.log_posterior[i]))]
-                row += [int(self.flags[f][i]) for f in self.flag_fields]
-                wr.writerow(row)
+            wr.writerow(self.header)
+            for row in self.table.tolist():
+                wr.writerow([int(v) if j in ints else repr(v) for j, v in enumerate(row)])
 
 
 # --- the sweep --------------------------------------------------------------
@@ -339,15 +313,12 @@ class ChainTrace:
 
 def _draw_ig(model, block, state, rng, it, layer=None):
     shape, scale = model.ig_params(block, state, layer)
-    if scale <= 0.0 or not np.isfinite(scale):
+    x = sample_inverse_gamma(shape, scale, rng) if 0.0 < scale < math.inf else scale
+    if not 0.0 < x < math.inf:
         raise NumericalError(
-            f"sweep {it}: conditional for {block} has non-positive scale "
-            f"{scale!r} (shape {shape!r}); state dump: act={state.act.as_dict()}, "
-            f"hyper=(lam={state.hyper.lam!r}, lam_b={state.hyper.lam_b!r}, "
-            f"sigma2={state.hyper.sigma2!r})")
-    x = sample_inverse_gamma(shape, scale, rng)
-    if not np.isfinite(x) or x <= 0.0:
-        raise NumericalError(f"sweep {it}: {block} draw returned {x!r}")
+            f"sweep {it}: {block} draw {x!r} from IG(shape {shape!r}, scale {scale!r}); "
+            f"state dump: act={state.act.as_dict()}, hyper=(lam={state.hyper.lam!r}, "
+            f"lam_b={state.hyper.lam_b!r}, sigma2={state.hyper.sigma2!r})")
     return x
 
 
@@ -451,9 +422,7 @@ def run_chain(model: BayesModel, cfg: SamplerConfig, rng: np.random.Generator,
     """
     cfg.validate()
     st = init.copy() if init is not None else init_state(model.net, rng)
-    chain = ChainState(
-        model=st, rng=rng, step_size=cfg.step_size,
-        mh_scales={"c": cfg.mh_scale_c, "gamma": cfg.mh_scale_gamma, "b": cfg.mh_scale_b})
+    chain = ChainState(model=st, rng=rng, step_size=cfg.step_size)
     keep_hist = model.net.n_weights <= W_HISTORY_LIMIT
     trace = ChainTrace(chain_id, model.net.n_layers, model.net.n_weights, keep_hist)
 
@@ -497,25 +466,19 @@ def run_chains(model: BayesModel, cfg: SamplerConfig, seed: int,
 
 @dataclass
 class PosteriorSummary:
-    """Posterior means/stds per block; state() rebuilds the mean point."""
+    """Posterior means/stds per trace column; state() rebuilds the mean point."""
 
     means: dict
     stds: dict
     w_mean: list
-    w_std: list
     n_samples: int
 
-    def activation(self) -> ActivationParams:
-        return ActivationParams(**{name: self.means[name] for name in ACT_BOUNDS})
-
-    def hyper(self, n_layers: int) -> HyperState:
-        lam = np.array([self.means[f"lambda_{i + 1}"] for i in range(n_layers)])
-        return HyperState(lam=lam, lam_b=self.means["lambda_b"], sigma2=self.means["sigma2"])
-
     def state(self) -> ModelState:
-        n_layers = sum(1 for k in self.means if k.startswith("lambda_") and k != "lambda_b")
-        return ModelState(
-            [m.copy() for m in self.w_mean], self.activation(), self.hyper(n_layers))
+        m = self.means
+        lam = [v for k, v in m.items() if k.startswith("lambda_") and k != "lambda_b"]
+        return ModelState([w.copy() for w in self.w_mean],
+                          ActivationParams(**{name: m[name] for name in ACT_BOUNDS}),
+                          HyperState(lam=np.array(lam), lam_b=m["lambda_b"], sigma2=m["sigma2"]))
 
 
 def estimate(traces, burn_in: int, lengths=None) -> PosteriorSummary:
@@ -528,56 +491,41 @@ def estimate(traces, burn_in: int, lengths=None) -> PosteriorSummary:
     Weight draws are only retained from the run's own burn-in onward, so
     the weight window is the intersection of the two cutoffs: with full
     per-draw history (small nets) the cutoff applies exactly; otherwise
-    the run-time Welford accumulators are used as-is and burn_in only
-    moves the scalar windows.
+    the run-time running means are used as-is and burn_in only moves the
+    scalar windows.
     """
     if isinstance(traces, ChainTrace):
         traces = [traces]
     if not traces:
         raise ValueError("need at least one trace")
-    names = traces[0].parameter_names()
     keep = [t.iteration >= burn_in for t in traces]
-    if sum(int(k.sum()) for k in keep) == 0:
+    pooled = np.concatenate([t.table[k] for t, k in zip(traces, keep)])
+    if not len(pooled):
         raise ValueError(
             f"no post-burn-in samples: burn_in={burn_in}, "
             f"max iteration={max(int(t.iteration[-1]) for t in traces)}")
-
+    header = traces[0].header
     means, stds = {}, {}
-    for name in names + ["energy", "log_posterior"]:
-        pooled = np.concatenate([t.series(name)[k] for t, k in zip(traces, keep)])
-        means[name] = float(np.mean(pooled))
-        stds[name] = float(np.std(pooled))
+    for j in range(1, len(header) - len(FLAG_FIELDS)):
+        means[header[j]] = float(np.mean(pooled[:, j]))
+        stds[header[j]] = float(np.std(pooled[:, j]))
 
     if all(t.w_history is not None for t in traces):
         # history row i belongs to the i-th accumulated (post run burn-in)
         # recorded sweep, i.e. the last w_count entries of t.iteration
-        rows = []
-        for t in traces:
-            if t.w_count == 0:
-                continue
-            iters = t.iteration[len(t.iteration) - t.w_count:]
-            rows.append(t.w_history[iters >= burn_in])
-        pooled = (np.concatenate(rows) if rows
-                  else np.zeros((0, traces[0].w_mean.size)))
-        n = pooled.shape[0]
-        mean = pooled.mean(axis=0) if n else np.zeros_like(traces[0].w_mean)
-        var = pooled.var(axis=0, ddof=1) if n > 1 else np.zeros_like(traces[0].w_m2)
+        w = np.concatenate([t.w_history[t.iteration[len(t.table) - t.w_count:] >= burn_in]
+                            for t in traces])
+        n = len(w)
+        mean = w.mean(axis=0) if n else np.zeros_like(traces[0].w_mean)
     else:
-        # pool the per-chain Welford accumulators
+        # pool the per-chain running means
         n = 0
         mean = np.zeros_like(traces[0].w_mean)
-        m2 = np.zeros_like(traces[0].w_m2)
         for t in traces:
             if t.w_count == 0:
                 continue
-            d = t.w_mean - mean
             tot = n + t.w_count
-            m2 = m2 + t.w_m2 + d * d * (n * t.w_count / tot)
-            mean = mean + d * (t.w_count / tot)
+            mean = mean + (t.w_mean - mean) * (t.w_count / tot)
             n = tot
-        var = m2 / (n - 1) if n > 1 else np.zeros_like(m2)
-    w_mean, w_std = [mean], [np.sqrt(var)]
-    if lengths is not None:
-        w_mean = split_weights(mean, lengths)
-        w_std = split_weights(np.sqrt(var), lengths)
-    return PosteriorSummary(means, stds, w_mean, w_std, n)
+    w_mean = [mean] if lengths is None else split_weights(mean, lengths)
+    return PosteriorSummary(means, stds, w_mean, n)

@@ -143,6 +143,15 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert "config.sampler" in err and "swooshes" in err
 
+    def test_unknown_preset_lists_presets_and_layers(self, tmp_path, capsys):
+        doc = _train_doc()
+        doc["network"] = {"preset": "custom"}
+        cfg = _write(tmp_path / "t.json", doc)
+        code, _ = _run(["train", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "['cnn1', 'cnn2', 'deep', 'mlp']" in err and "'layers'" in err
+
 
 class TestDeterministicRepeat:
     def test_same_seed_same_bytes(self, tmp_path):
@@ -225,10 +234,10 @@ class TestEvalCommand:
 
 
 class TestDiagCommand:
-    def _constant_trace(self, path, n=40):
-        header = ("iteration,c,gamma,b,sigma2,lambda_b,lambda_1,"
-                  "energy,log_posterior")
-        rows = [f"{i},0.5,0.1,1.0,1.0,1.0,1.0,2.0,-2.0" for i in range(n)]
+    def _constant_trace(self, path, n=40, n_layers=1):
+        lam = "".join(f"lambda_{k + 1}," for k in range(n_layers))
+        header = f"iteration,c,gamma,b,sigma2,lambda_b,{lam}energy,log_posterior"
+        rows = [f"{i},0.5,0.1,1.0,1.0,1.0,{'1.0,' * n_layers}2.0,-2.0" for i in range(n)]
         path.write_text(header + "\n" + "\n".join(rows) + "\n")
         return str(path)
 
@@ -252,6 +261,36 @@ class TestDiagCommand:
     def test_missing_trace_file(self, tmp_path):
         code, _ = _run(["diag", str(tmp_path / "ghost.csv")])
         assert code == EXIT_IO
+
+    @pytest.mark.parametrize("text", [
+        "iteration,c,gamma,sigma2,lambda_b,lambda_1,energy,log_posterior\n"
+        "0,0.5,0.1,1.0,1.0,1.0,2.0,-2.0\n",
+        "iteration,c,gamma,b,sigma2,lambda_b,lambda_1,energy,log_posterior\n"
+        "0,0.5,0.1,wide,1.0,1.0,1.0,2.0,-2.0\n",
+        "",
+    ], ids=["missing-column", "non-numeric-cell", "empty-file"])
+    def test_malformed_trace_is_io_error(self, tmp_path, capsys, text):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        code, _ = _run(["diag", str(path)])
+        assert code == EXIT_IO
+        assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("burn_in", [39, 40])
+    def test_burn_in_at_or_past_last_row_is_config_error(self, tmp_path, burn_in):
+        a = self._constant_trace(tmp_path / "a.csv")
+        b = self._constant_trace(tmp_path / "b.csv")
+        code, _ = _run(["diag", a, b, "--burn-in", str(burn_in)])
+        assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("layers", [(1, 2), (2, 1)])
+    def test_traces_of_different_nets_are_config_error(self, tmp_path, capsys, layers):
+        paths = [self._constant_trace(tmp_path / f"{k}-{n}.csv", n_layers=n)
+                 for k, n in enumerate(layers)]
+        code, _ = _run(["diag", *paths])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert paths[0] in err and paths[1] in err
 
 
 class TestBaselineCommand:

@@ -324,6 +324,19 @@ class TestInverseGammaParams:
         shape, scale = cond_ig_params_sigma2(2.0, self.FIXED)
         np.testing.assert_allclose((shape, scale), (0.501, 2.001), rtol=1e-12)
 
+    def test_overflowing_gamma_square(self):
+        """Where gamma^2 overflows a Python float, the sigma2 scale is
+        infinite, gamma's log prior is -inf, and the scale draw stops the
+        sweep with a NumericalError."""
+        assert cond_ig_params_sigma2(1e200, self.FIXED)[1] == np.inf
+        net, model, rng = _toy_model()
+        st = _random_state(net, rng)
+        for gamma in (1e200, -1e200):
+            assert model.act_log_prior("gamma", gamma, st) == -np.inf
+        st.act = replace(st.act, gamma=1e200)
+        with pytest.raises(NumericalError, match="sigma2"):
+            samplers._draw_ig(model, "sigma2", st, rng, 0)
+
     def test_model_dispatch_matches_free_functions(self):
         net, model, rng = _toy_model(seed=2)
         st = _random_state(net, rng)

@@ -51,6 +51,13 @@ class TestInverseGammaSampler:
         with pytest.raises(ValueError):
             sample_inverse_gamma(1.0, -2.0, rng)
 
+    def test_underflowing_shape_draws_infinity(self):
+        """At shape 1e-3 the boosted gamma draw often underflows to 0.0;
+        the inverse-gamma draw is then +inf, not a ZeroDivisionError."""
+        rng = np.random.default_rng(0)
+        draws = np.array([sample_inverse_gamma(1e-3, 1.0, rng) for _ in range(1000)])
+        assert (draws > 0.0).all() and np.isinf(draws).any()
+
     def test_mean_shape3_scale2(self):
         """Mean of IG(3, 2) is scale/(shape-1) = 1."""
         rng = np.random.default_rng(1)
@@ -456,11 +463,9 @@ class TestTrace:
         path = tmp_path / "trace.csv"
         trace.to_csv(path)
         back = load_trace(path)
-        for name in trace.parameter_names() + ["energy", "log_posterior"]:
+        assert back.header == trace.header
+        for name in trace.header:
             np.testing.assert_array_equal(trace.series(name), back.series(name))
-        np.testing.assert_array_equal(trace.iteration, back.iteration)
-        for f in trace.flag_fields:
-            np.testing.assert_array_equal(trace.flags[f], back.flags[f])
 
 
 class TestEstimate:
