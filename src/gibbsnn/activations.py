@@ -4,10 +4,12 @@ Every function is vectorized over numpy arrays and works on scalars.  One
 registry maps each activation name to its value, its derivatives (with
 respect to the input and to its own parameters) and its default
 parameters, so both the gradient-descent baseline and the MCMC machinery
-consume the same definitions.  This module is the only one that knows how
-parameters are stored: ActivationParams for the blend ('mmelu'), a dict
-for everything else; make_params, params_doc and with_values convert and
-update them for the other modules.
+consume the same definitions; activation_grads turns them into a layer's
+vector-Jacobian product, with a fused kernel for the blend.  This module
+is the only one that knows how parameters are stored: ActivationParams
+for the blend ('mmelu'), a dict for everything else; make_params,
+params_doc and with_values convert and update them for the other
+modules.
 
 Non-differentiable points use the subgradient-0 convention: at a kink the
 reported derivative is exactly 0 (``np.sign(0) == 0`` and strict inequalities
@@ -95,9 +97,19 @@ def mmelu(x, p: ActivationParams):
     """Convex blend c * hat(x) + (1 - c) * ReLU(x).
 
     With c=0 this is exactly ReLU (bitwise: the hat term contributes +0.0).
+    Evaluated in place in two buffers, with the same operations in the
+    same order as c * mexican_hat(x, gamma, b) + (1 - c) * relu(x).
     """
     x = np.asarray(x, dtype=np.float64)
-    return p.c * mexican_hat(x, p.gamma, p.b) + (1.0 - p.c) * relu(x)
+    out = np.subtract(x, p.gamma, out=np.empty_like(x))
+    np.abs(out, out=out)
+    np.subtract(p.b, out, out=out)
+    np.maximum(out, 0.0, out=out)
+    out *= p.c
+    ramp = np.maximum(x, 0.0, out=np.empty_like(x))
+    ramp *= 1.0 - p.c
+    out += ramp
+    return out[()]
 
 
 def mmelu_grads(x, p: ActivationParams):
@@ -105,34 +117,60 @@ def mmelu_grads(x, p: ActivationParams):
 
     Inside the hat support |x - gamma| < b the hat slope is -sign(x - gamma);
     outside (and exactly on the boundary) it is 0.  The ReLU slope is the
-    indicator of x > 0.  All four pieces are 0 at their kinks.
+    indicator of x > 0.  All four pieces are 0 at their kinks.  This is the
+    elementwise reference for the fused product in activation_grads.
     """
     x = np.asarray(x, dtype=np.float64)
-    d_x, inside, sgn = _mmelu_slope_parts(x, p)
+    d = x - p.gamma
+    inside = np.abs(d) < p.b
+    sgn = np.sign(d)
+    d_x = p.c * np.where(inside, -sgn, 0.0) + (1.0 - p.c) * (x > 0).astype(np.float64)
     d_c = mexican_hat(x, p.gamma, p.b) - relu(x)
     d_gamma = p.c * np.where(inside, sgn, 0.0)
     d_b = p.c * inside.astype(np.float64)
     return d_x, d_c, d_gamma, d_b
 
 
-def mmelu_slope(x, p: ActivationParams):
-    """d/dx of the blend alone; bitwise equal to mmelu_grads(x, p)[0]."""
-    return _mmelu_slope_parts(np.asarray(x, dtype=np.float64), p)[0]
-
-
-def _mmelu_slope_parts(x, p):
-    # (d/dx, hat-support mask, sign(x - gamma)): the pieces both gradient
-    # functions share, computed one way so the slopes agree bit for bit
-    d = x - p.gamma
-    inside = np.abs(d) < p.b
-    sgn = np.sign(d)
-    d_x = p.c * np.where(inside, -sgn, 0.0) + (1.0 - p.c) * (x > 0).astype(np.float64)
-    return d_x, inside, sgn
-
-
 def _mmelu_grad(x, p):
     d_x, d_c, d_gamma, d_b = mmelu_grads(x, p)
     return d_x, {"c": d_c, "gamma": d_gamma, "b": d_b}
+
+
+def _mmelu_vjp(x, g, p, param_grads):
+    # g * d/dx of the blend, bit-equal to g * mmelu_grads(x, p)[0] for c in
+    # [0, 1], plus with param_grads the sums of g * d/dc, d/dgamma and d/db
+    # as dot products over the hat, the ReLU and the support mask.  Two
+    # float buffers: no np.where or np.sign, no per-parameter arrays.
+    t = np.subtract(x, p.gamma, out=np.empty_like(x))  # x - gamma
+    buf = np.empty_like(x)
+    sums = None
+    if param_grads:
+        g_flat = np.ascontiguousarray(g).reshape(-1)
+
+        def dot(v):  # einsum, not BLAS: the sum does not depend on thread count
+            return float(np.einsum("i,i->", g_flat, v.reshape(-1)))
+
+        np.abs(t, out=buf)
+        inside = buf < p.b
+        np.subtract(p.b, buf, out=buf)
+        np.maximum(buf, 0.0, out=buf)  # the hat
+        g_hat = dot(buf)
+        g_ramp = dot(np.maximum(x, 0.0, out=buf))
+        np.copyto(buf, inside)
+        sums = {"c": g_hat - g_ramp, "b": p.c * dot(buf)}
+    # -sign(x - gamma) on the support, +0.0 off it: (x - gamma) < b holds
+    # exactly when |x - gamma| < b does on its side of gamma
+    falling = t > 0
+    falling &= t < p.b
+    rising = t < 0
+    rising &= t > -p.b
+    np.subtract(rising, falling, out=t, dtype=np.float64)
+    if param_grads:
+        sums["gamma"] = -p.c * dot(t)
+    t *= p.c
+    t += np.multiply(x > 0, 1.0 - p.c, out=buf)  # +0.0 + +0.0 keeps zeros positive
+    np.multiply(g, t, out=t)
+    return t[()], sums
 
 
 def melu_grid(k: int):
@@ -366,20 +404,23 @@ def activation_value(name: str, params, x):
     return _entry(name)[0](np.asarray(x, dtype=np.float64), **params)
 
 
-def activation_grads(name: str, params, x):
-    """As activation_value but returns (d/dx, {param: d/dparam}).
+def activation_grads(name: str, params, x, g, param_grads: bool = True):
+    """Vector-Jacobian product of an activation layer: given its input x
+    and the upstream gradient g, returns (g * d/dx, {param: sum of
+    g * d/dparam}), or (g * d/dx, None) without param_grads.
 
-    Scalar parameters map to arrays shaped like x; vector parameters to
-    arrays of shape (len(param),) + x.shape.
+    Scalar parameters get floats; vector parameters arrays of shape
+    (len(param),).  The blend with ActivationParams takes the fused kernel;
+    every other case goes through the registry's elementwise derivatives.
     """
+    x = np.asarray(x, dtype=np.float64)
+    g = np.asarray(g, dtype=np.float64)
     if name == "mmelu" and isinstance(params, ActivationParams):
-        return _mmelu_grad(x, params)
-    return _entry(name)[1](np.asarray(x, dtype=np.float64), **params)
-
-
-def activation_slope(name: str, params, x):
-    """As activation_grads but returns d/dx only, for callers that need no
-    parameter gradients."""
-    if name == "mmelu" and isinstance(params, ActivationParams):
-        return mmelu_slope(x, params)
-    return activation_grads(name, params, x)[0]
+        return _mmelu_vjp(x, g, params, param_grads)
+    d_x, d_params = _entry(name)[1](x, **params)
+    if not param_grads:
+        return g * d_x, None
+    sums = {key: float(np.sum(g * dval)) if dval.ndim == g.ndim
+            else np.tensordot(dval, g, axes=g.ndim)  # leading axis: components
+            for key, dval in d_params.items()}
+    return g * d_x, sums

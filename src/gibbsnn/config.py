@@ -12,6 +12,7 @@ import numpy as np
 from . import data as dataio
 from .activations import registered_names
 from .baseline import BaselineConfig
+from .diagnostics import SPLIT_RHAT_MIN_ROWS
 from .errors import ConfigError
 from .network import LOSS_KINDS, LayerSpec, Network, NetworkSpec
 from .presets import PRESETS, build_preset, mlp
@@ -224,7 +225,10 @@ def build_network(doc, activation, train=None):
                 f"config.network: preset 'mlp' needs flat inputs, got {input_shape}")
         spec, dropout = mlp(input_shape[0], classes, hidden, activation)
     else:
-        spec, dropout = build_preset(preset, input_shape, classes, activation)
+        try:
+            spec, dropout = build_preset(preset, input_shape, classes, activation)
+        except ValueError as exc:
+            raise ConfigError(f"config.network: preset {preset!r}: {exc}") from None
     return Network(spec), dropout
 
 
@@ -343,11 +347,20 @@ def validate_convert(doc) -> dict:
 
 def sampler_config(section: dict, chains_override=None) -> SamplerConfig:
     """SamplerConfig from a validated sampler section; every key is a
-    SamplerConfig field."""
+    SamplerConfig field.  With two or more chains the post-burn-in window
+    must keep enough rows per chain for the split R-hat in report.csv."""
     kw = dict(section)
     if chains_override:
         kw["n_chains"] = chains_override
-    return SamplerConfig(**kw).validate()
+    cfg = SamplerConfig(**kw).validate()
+    # recorded sweeps are the multiples of thin; those >= burn_in are kept
+    kept = len(range(-(-cfg.burn_in // cfg.thin) * cfg.thin, cfg.n_sweeps, cfg.thin))
+    if cfg.n_chains >= 2 and kept < SPLIT_RHAT_MIN_ROWS:
+        raise ConfigError(
+            f"config.sampler: n_sweeps {cfg.n_sweeps} with burn_in {cfg.burn_in} and thin "
+            f"{cfg.thin} keeps {kept} rows per chain; the split R-hat over "
+            f"{cfg.n_chains} chains needs at least {SPLIT_RHAT_MIN_ROWS}")
+    return cfg
 
 
 def baseline_config(section: dict, preset_dropout: dict) -> BaselineConfig:

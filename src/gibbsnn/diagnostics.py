@@ -58,19 +58,22 @@ def ess(series) -> float:
     return float(min(n / tau, cap))
 
 
+SPLIT_RHAT_MIN_ROWS = 4  # two draws per half-chain for a within variance
+
+
 def split_rhat(chains) -> float:
     """Gelman-Rubin potential scale reduction over split half-chains.
 
-    Needs >= 2 chains of equal length >= 4.  Every chain is split in half,
-    so stuck-then-moved single chains are penalized too.  All-constant
-    input returns exactly 1.0 (the zero-variance convention).
+    Needs >= 2 chains of equal length >= SPLIT_RHAT_MIN_ROWS.  Every chain
+    is split in half, so stuck-then-moved single chains are penalized too.
+    All-constant input returns exactly 1.0 (the zero-variance convention).
     """
     seqs = [np.asarray(c, dtype=np.float64) for c in chains]
     if len(seqs) < 2:
         raise ValueError(f"split_rhat needs >= 2 chains, got {len(seqs)}")
     n = min(s.size for s in seqs)
-    if n < 4:
-        raise ValueError(f"chains too short for split_rhat: {n} < 4")
+    if n < SPLIT_RHAT_MIN_ROWS:
+        raise ValueError(f"chains too short for split_rhat: {n} < {SPLIT_RHAT_MIN_ROWS}")
     half = n // 2
     parts = []
     for s in seqs:

@@ -12,6 +12,10 @@ Conventions
   patch matrix, so the forward pass is one GEMM per block and the backward
   pass two (kernel gradient, and patch gradient added back onto the input).
   Blocking keeps the patch matrix at a few MB whatever the batch size.
+* Max-pooling takes np.maximum over four strided views, one per window
+  cell.  A recording pass keeps each window's winning cell as two bool
+  arrays (bottom row, right column); backward copies the gradient into
+  those cells of a zeroed input, with no index arrays or transposed copies.
 * Backward stops at the first weighted layer: the gradient with respect to
   the network input is never computed.
 * Per-layer weights live in flat vectors (kernel then bias); the list of
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activations import activation_grads, activation_slope, activation_value
+from .activations import activation_grads, activation_value
 from .errors import NumericalError, ShapeError
 
 KERNEL = 3
@@ -283,8 +287,9 @@ class Network:
                 h = _conv_forward(xp, W, b)
                 wi += 1
             elif layer.kind == "maxpool2x2":
-                h, idx, inshape = _maxpool_forward(h)
-                caches.append((idx, inshape) if record else None)
+                inshape = h.shape
+                h, route = _maxpool_forward(h, record)
+                caches.append((route, inshape) if record else None)
             elif layer.kind == "flatten":
                 caches.append(h.shape if record else None)
                 h = h.reshape(h.shape[0], -1)
@@ -325,9 +330,9 @@ class Network:
         -sum_i y_i log yhat_i.  dropout maps layer index to a mask applied
         to that layer's output (training-time regularization path).
 
-        With param_grads=False the activation layers pass back their input
-        slope only and grad_act is None; grad_w and loss are bitwise the
-        same as with the full pass.
+        Each activation layer makes one activation_grads call.  With
+        param_grads=False it forms no parameter sums and grad_act is None;
+        grad_w and loss are bitwise the same as with the full pass.
         """
         h, yb = self._batch(x, y)
         out, caches = self._run(w, act_params, h, record=True, dropout=dropout)
@@ -362,22 +367,14 @@ class Network:
                     gW, gb, _ = _conv_backward(cache, W, g, input_grad=False)
                 grad_w[wi] = np.concatenate([gW.ravel(), gb])
             elif layer.kind == "maxpool2x2":
-                idx, inshape = cache
-                g = _maxpool_backward(g, idx, inshape)
+                g = _maxpool_backward(g, *cache)
             elif layer.kind == "flatten":
                 g = g.reshape(cache)
             elif layer.kind == "activation":
-                if param_grads:
-                    d_x, d_params = activation_grads(layer.activation, act_params, cache)
-                    for name, dval in d_params.items():
-                        if dval.ndim == g.ndim:
-                            d = float(np.sum(g * dval))
-                        else:  # vector parameter: leading axis indexes components
-                            d = np.tensordot(dval, g, axes=g.ndim)
-                        grad_act[name] = grad_act.get(name, 0.0) + d
-                else:
-                    d_x = activation_slope(layer.activation, act_params, cache)
-                g = g * d_x
+                g, d_params = activation_grads(layer.activation, act_params, cache, g,
+                                               param_grads)
+                for name, d in (d_params or {}).items():
+                    grad_act[name] = grad_act.get(name, 0.0) + d
             elif layer.kind == "softmax":
                 p = cache
                 g = p * (g - np.sum(g * p, axis=-1, keepdims=True))
@@ -451,22 +448,42 @@ def _conv_backward(xp, W, g, input_grad=True):
     return gW.reshape(cout, KERNEL, KERNEL, cin).transpose(0, 3, 1, 2), gb, gx
 
 
-def _maxpool_forward(h):
-    n, H, W, C = h.shape
-    H2, W2 = H // 2, W // 2
-    t = h[:, : 2 * H2, : 2 * W2, :].reshape(n, H2, 2, W2, 2, C)
-    t = t.transpose(0, 1, 3, 5, 2, 4).reshape(n, H2, W2, C, 4)
-    idx = t.argmax(axis=-1)  # first max wins: one routed position per window
-    out = np.take_along_axis(t, idx[..., None], axis=-1)[..., 0]
-    return out, idx, h.shape
+def _pool_cells(h):
+    # the four cells of every 2x2 window as strided views, in routing order
+    # (0,0), (0,1), (1,0), (1,1); a trailing odd row or column is left out
+    H2, W2 = h.shape[1] // 2, h.shape[2] // 2
+    return [h[:, i : 2 * H2 : 2, j : 2 * W2 : 2] for i in (0, 1) for j in (0, 1)]
 
 
-def _maxpool_backward(g, idx, inshape):
-    n, H, W, C = inshape
-    H2, W2 = H // 2, W // 2
-    g4 = np.zeros((n, H2, W2, C, 4))
-    np.put_along_axis(g4, idx[..., None], g[..., None], axis=-1)
-    g4 = g4.reshape(n, H2, W2, C, 2, 2).transpose(0, 1, 4, 2, 5, 3)
+def _maxpool_forward(h, record: bool):
+    # (window maxima, route or None).  np.maximum returns its second
+    # argument when the two compare equal, so the earlier cell goes second
+    # and a tie keeps the first cell's value.  With record, the route names
+    # the cell each window passes its gradient to, the first maximum winning
+    # a tie, as two bool arrays: (in the bottom row, in the right column)
+    c00, c01, c10, c11 = _pool_cells(h)
+    top = np.maximum(c01, c00)
+    bottom = np.maximum(c11, c10)
+    route = None
+    if record:
+        down = bottom > top
+        right = down & (c11 > c10)
+        right |= ~down & (c01 > c00)
+        route = (down, right)
+    return np.maximum(bottom, top, out=top), route
+
+
+def _maxpool_backward(g, route, inshape):
+    # each routed cell of a zeroed input takes its window's gradient; a
+    # bitwise AND with an all-ones or all-zeros word copies g exactly
+    # (signed zeros included) and leaves +0.0 everywhere else
+    down, right = route
     out = np.zeros(inshape)
-    out[:, : 2 * H2, : 2 * W2, :] = g4.reshape(n, 2 * H2, 2 * W2, C)
+    bits = g.view(np.uint64)
+    up, left = ~down, ~right
+    for cell, mask in zip(_pool_cells(out.view(np.uint64)),
+                          (up & left, up & right, down & left, down & right)):
+        word = mask.astype(np.uint64)
+        np.negative(word, out=word)
+        np.bitwise_and(bits, word, out=cell)
     return out

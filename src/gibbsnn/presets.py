@@ -41,9 +41,9 @@ def _closing_stack(layers, dropout, flat, hidden, classes, activation, fc_rates)
 
 
 def _cnn(input_shape, classes, activation, blocks, hidden, pool_rates, fc_rates):
-    h, w, c = input_shape
-    if h != w:
-        raise ValueError(f"square inputs expected, got {input_shape}")
+    if len(input_shape) != 3 or input_shape[0] != input_shape[1]:
+        raise ValueError(f"square (H, W, C) image inputs expected, got {tuple(input_shape)}")
+    h, _, c = input_shape
     layers, dropout = [], {}
     spatial = h
     for n_convs, out_c, rate in zip(*blocks, pool_rates):

@@ -17,9 +17,9 @@ from gibbsnn.activations import (
     mexican_hat,
     mmelu,
     mmelu_grads,
-    mmelu_slope,
     registered_names,
     trainable_names,
+    with_values,
 )
 
 
@@ -118,21 +118,73 @@ class TestMmeluGrads:
         np.testing.assert_allclose(d_b, fd_b, atol=1e-6)
 
 
-class TestMmeluSlope:
-    def test_bitwise_equal_to_full_grads(self):
-        """The slope-only path reproduces d/dx of mmelu_grads bit for bit,
-        kinks included: x = 0, x = gamma and the support edges gamma +- b."""
+class TestActivationGrads:
+    """The fused vector-Jacobian product of the blend against the
+    elementwise reference mmelu_grads."""
+
+    TRIPLES = ((0.5, 0.0, 1.0), (0.3, -0.4, 0.7), (0.0, 0.2, 1.5),
+               (1.0, 0.25, 0.5), (0.77, 1.3, 0.0), (0.41, -2.0, 3.0))
+
+    def _grid(self, rng, gamma, b):
+        # every kink: x = 0 (both signs), x = gamma and the support edges
+        kinks = np.array([0.0, -0.0, gamma, gamma - b, gamma + b])
+        x = np.concatenate([kinks, np.linspace(-4.0, 4.0, 801),
+                            rng.normal(scale=2.0, size=(50,))])
+        g = rng.normal(size=x.shape)
+        g[:4] = (-0.0, 0.0, -0.0, 0.0)  # signed zeros upstream, at kinks
+        return x, g
+
+    def test_input_grad_bitwise_equal(self):
+        """g * d/dx from both paths is byte-equal to g * mmelu_grads(x)[0],
+        kinks and signed zeros included, for contiguous, strided and 0-d
+        inputs."""
         rng = np.random.default_rng(4)
-        for c, gamma, b in ((0.5, 0.0, 1.0), (0.3, -0.4, 0.7), (0.0, 0.2, 1.5),
-                            (1.0, 0.25, 0.5), (0.77, 1.3, 0.0), (0.41, -2.0, 3.0)):
+        for c, gamma, b in self.TRIPLES:
             p = ActivationParams(c=c, gamma=gamma, b=b)
-            kinks = np.array([0.0, -0.0, gamma, gamma - b, gamma + b])
-            grid = np.concatenate([kinks, np.linspace(-4.0, 4.0, 801),
-                                   rng.normal(scale=2.0, size=(50,))])
-            for x in (grid, grid.reshape(8, -1)[:, ::3], 0.0, gamma + b):
-                got = mmelu_slope(x, p)
-                want = mmelu_grads(x, p)[0]
-                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (c, gamma, b)
+            x, g = self._grid(rng, gamma, b)
+            for xi, gi in ((x, g), (x.reshape(8, -1)[:, ::3], g.reshape(8, -1)[:, ::3]),
+                           (np.asarray(gamma + b), np.asarray(-0.0)),
+                           (np.asarray(0.0), np.asarray(1.5))):
+                want = gi * mmelu_grads(xi, p)[0]
+                for param_grads in (True, False):
+                    got, _ = activation_grads("mmelu", p, xi, gi, param_grads)
+                    assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), \
+                        (c, gamma, b, param_grads)
+
+    def test_parameter_sums_match_elementwise(self):
+        """The dot-product sums for c, gamma and b are within 1e-12
+        relative of np.sum(g * d) over the reference derivatives."""
+        rng = np.random.default_rng(5)
+        for c, gamma, b in self.TRIPLES:
+            p = ActivationParams(c=c, gamma=gamma, b=b)
+            x, g = self._grid(rng, gamma, b)
+            x = np.concatenate([x, rng.normal(scale=2.0, size=(5000,))]).reshape(-1, 3)
+            g = np.concatenate([g, rng.normal(size=(5000,))]).reshape(-1, 3)
+            _, sums = activation_grads("mmelu", p, x, g)
+            _, d_c, d_gamma, d_b = mmelu_grads(x, p)
+            for name, d in (("c", d_c), ("gamma", d_gamma), ("b", d_b)):
+                want = float(np.sum(g * d))
+                assert abs(sums[name] - want) <= 1e-12 * abs(want), (c, gamma, b, name)
+                assert isinstance(sums[name], float)
+
+    def test_weights_only_returns_no_sums(self):
+        x = np.linspace(-2.0, 2.0, 9)
+        for name in registered_names():
+            got, sums = activation_grads(name, default_params(name), x, np.ones(9), False)
+            assert sums is None and got.shape == (9,), name
+
+    def test_scalar_and_0d_inputs(self):
+        """Python floats, numpy scalars and 0-d arrays work on both paths
+        and give scalars back."""
+        p = ActivationParams(c=0.3, gamma=0.2, b=1.0)
+        for x in (0.7, np.float64(0.7), np.asarray(0.7)):
+            assert mmelu(x, p) == 0.3 * 0.5 + 0.7 * 0.7
+            for g in (2.0, np.asarray(2.0)):
+                got, sums = activation_grads("mmelu", p, x, g)
+                assert np.ndim(got) == 0 and got == 2.0 * (-0.3 + 0.7)
+                assert sums == {"c": 2.0 * (0.5 - 0.7), "gamma": 2.0 * 0.3, "b": 2.0 * 0.3}
+                got, sums = activation_grads("prelu", {"alpha": 0.25}, x, g)
+                assert got == 2.0 and sums == {"alpha": 0.0}
 
 
 class TestZoo:
@@ -197,37 +249,43 @@ class TestZooGradients:
     POINTS = np.array([-2.3, -1.1, -0.4, 0.35, 0.9, 1.7, 2.8])
 
     def _check(self, name, params):
+        """activation_grads at each probe point with g = 1 gives the
+        point's derivatives, which must match central differences; on the
+        whole probe vector with a random g it must give their g-weighted
+        sums."""
         h = 1e-6
-        d_x, d_p = activation_grads(name, params, self.POINTS)
+        g = np.random.default_rng(3).normal(size=self.POINTS.shape)
+        g_in, sums = activation_grads(name, params, self.POINTS, g)
+        per_point = [activation_grads(name, params, x, 1.0) for x in self.POINTS]
         fd = (activation_value(name, params, self.POINTS + h)
               - activation_value(name, params, self.POINTS - h)) / (2 * h)
-        np.testing.assert_allclose(d_x, fd, atol=2e-5,
+        np.testing.assert_allclose([d for d, _ in per_point], fd, atol=2e-5,
                                    err_msg=f"d/dx mismatch for {name}")
-        for pname, got in d_p.items():
-            base = params[pname]
-            if np.ndim(base) == 0:
-                up = dict(params, **{pname: base + h})
-                dn = dict(params, **{pname: base - h})
-                fd_p = (activation_value(name, up, self.POINTS)
-                        - activation_value(name, dn, self.POINTS)) / (2 * h)
-                np.testing.assert_allclose(got, fd_p, atol=2e-5,
-                                           err_msg=f"d/d{pname} mismatch for {name}")
-            else:
-                base = np.asarray(base, dtype=np.float64)
-                for j in range(len(base)):
-                    e = np.zeros_like(base)
-                    e[j] = h
-                    up = dict(params, **{pname: base + e})
-                    dn = dict(params, **{pname: base - e})
-                    fd_p = (activation_value(name, up, self.POINTS)
-                            - activation_value(name, dn, self.POINTS)) / (2 * h)
-                    np.testing.assert_allclose(
-                        got[j], fd_p, atol=2e-5,
-                        err_msg=f"d/d{pname}[{j}] mismatch for {name}")
+        np.testing.assert_allclose(g_in, g * fd, atol=2e-5, err_msg=f"g * d/dx for {name}")
+        assert set(sums) == set(trainable_names(name)), name
+        for pname, got in sums.items():
+            base = np.asarray(params[pname], dtype=np.float64)
+            steps = [h] if base.ndim == 0 else list(np.eye(len(base)) * h)
+            fd_p = []
+            for e in steps:
+                up = with_values(params, [pname], [base + e])
+                dn = with_values(params, [pname], [base - e])
+                fd_p.append((activation_value(name, up, self.POINTS)
+                             - activation_value(name, dn, self.POINTS)) / (2 * h))
+            fd_p = np.array(fd_p) if base.ndim else fd_p[0]
+            point = np.array([s[pname] for _, s in per_point])
+            np.testing.assert_allclose(point.T if base.ndim else point, fd_p, atol=2e-5,
+                                       err_msg=f"d/d{pname} mismatch for {name}")
+            np.testing.assert_allclose(got, fd_p @ g, atol=1e-4,
+                                       err_msg=f"sum of g * d/d{pname} for {name}")
 
     def test_all_registered_gradients(self):
+        """Every registry entry through the elementwise fallback (mmelu's
+        dict parameters included), and the blend's fused kernel."""
         for name in registered_names():
             self._check(name, default_params(name))
+        p = ActivationParams(c=0.47, gamma=0.3, b=1.2)
+        self._check("mmelu", p)
 
 
 class TestDispatch:
@@ -237,7 +295,7 @@ class TestDispatch:
         assert activation_value("mmelu", {"c": 0.5, "gamma": 1.0, "b": 2.0}, 2.0) == 1.5
 
     def test_grads_dispatch_names(self):
-        _, d_p = activation_grads("mmelu", ActivationParams(), np.array([0.3]))
+        _, d_p = activation_grads("mmelu", ActivationParams(), np.array([0.3]), np.ones(1))
         assert set(d_p) == {"c", "gamma", "b"}
-        _, d_p = activation_grads("prelu", {"alpha": 0.25}, np.array([0.3]))
+        _, d_p = activation_grads("prelu", {"alpha": 0.25}, np.array([0.3]), np.ones(1))
         assert set(d_p) == {"alpha"}

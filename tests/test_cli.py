@@ -152,6 +152,34 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert "['cnn1', 'cnn2', 'deep', 'mlp']" in err and "'layers'" in err
 
+    def test_window_too_short_for_split_rhat_is_config_error(self, tmp_path, capsys):
+        """3 chains keeping 2 post-burn-in rows each are rejected before
+        any sampling, not after it by the report's split R-hat."""
+        cfg = _write(tmp_path / "t.json", _train_doc(n_sweeps=10, burn_in=8, n_chains=3))
+        out = tmp_path / "o"
+        code, _ = _run(["train", "--config", cfg, "--out", str(out)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "n_sweeps 10" in err and "burn_in 8" in err
+        assert not list(out.glob("trace_chain*.csv"))
+
+    def test_window_of_four_rows_runs(self, tmp_path):
+        cfg = _write(tmp_path / "t.json",
+                     _train_doc(n_sweeps=12, burn_in=4, n_chains=2, thin=2))
+        out = tmp_path / "o"
+        code, _ = _run(["train", "--config", cfg, "--out", str(out)])
+        assert code == EXIT_OK
+        assert (out / "report.csv").exists() and (out / "checkpoint.json").exists()
+
+    def test_image_preset_on_flat_inputs_is_config_error(self, tmp_path, capsys):
+        doc = _train_doc()
+        doc["network"] = {"preset": "cnn1"}
+        cfg = _write(tmp_path / "t.json", doc)
+        code, _ = _run(["train", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "'cnn1'" in err and "(4,)" in err
+
 
 class TestDeterministicRepeat:
     def test_same_seed_same_bytes(self, tmp_path):

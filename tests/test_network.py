@@ -12,7 +12,7 @@ import pytest
 
 import gibbsnn.network as network_module
 
-from gibbsnn.activations import ActivationParams, default_params, registered_names
+from gibbsnn.activations import ActivationParams, default_params, mmelu, registered_names
 from gibbsnn.errors import NumericalError, ShapeError
 from gibbsnn.network import (
     Network,
@@ -419,7 +419,8 @@ def _traced_peak_mib(fn):
 
 class TestMemory:
     """Allocation sizes are deterministic, so tracemalloc's peak catches a
-    conv temporary that grows with the batch.  Both peaks are set by the
+    conv temporary that grows with the batch, or an activation or pool
+    temporary more than the fused kernels need.  The peaks are set by the
     activation layer after the first conv; the per-block patch matrices
     must stay below it."""
 
@@ -436,12 +437,89 @@ class TestMemory:
         x64 = rng.random((64, 28, 28, 1))
         backward = _traced_peak_mib(
             lambda: net.backward(w, p, x, y, average=True, dropout=masks))
+        weights_only = _traced_peak_mib(
+            lambda: net.backward(w, p, x, y, average=True, dropout=masks, param_grads=False))
         forward = _traced_peak_mib(lambda: net.forward(w, p, x64))
-        assert backward <= 68.3, backward
+        assert backward <= 44.3, backward
+        assert weights_only <= 37.4, weights_only
         assert forward <= 37.2, forward
 
 
+def _loop_pool(h, g):
+    """Per-window reference: (pooled, input gradient).  Cells are scanned
+    in (0,0), (0,1), (1,0), (1,1) order and the first maximum wins, so a
+    tie between -0.0 and +0.0 keeps the first one's sign."""
+    n, H, W, C = h.shape
+    out = np.empty((n, H // 2, W // 2, C))
+    gx = np.zeros(h.shape)
+    for a in range(n):
+        for i in range(H // 2):
+            for j in range(W // 2):
+                for c in range(C):
+                    cells = [(2 * i + di, 2 * j + dj) for di in (0, 1) for dj in (0, 1)]
+                    vals = [h[a, r, q, c] for r, q in cells]
+                    k = vals.index(max(vals))  # max keeps the first of equal values
+                    out[a, i, j, c] = vals[k]
+                    gx[a, cells[k][0], cells[k][1], c] = g[a, i, j, c]
+    return out, gx
+
+
 class TestMaxpool:
+    def _check_against_loop(self, h, rng):
+        g = rng.normal(size=(h.shape[0], h.shape[1] // 2, h.shape[2] // 2, h.shape[3]))
+        g.flat[::7] = -0.0  # signed zeros upstream are routed exactly
+        out, route = network_module._maxpool_forward(h, True)
+        gx = network_module._maxpool_backward(g, route, h.shape)
+        want_out, want_gx = _loop_pool(h, g)
+        assert out.tobytes() == want_out.tobytes()
+        assert gx.tobytes() == want_gx.tobytes()
+        plain, no_route = network_module._maxpool_forward(h, False)
+        assert plain.tobytes() == out.tobytes() and no_route is None
+        return gx
+
+    def test_exact_ties_match_loop(self):
+        """Windows with exact ties, from a three-value input and from the
+        blend's flat stretch at c = 0.5 on (gamma, gamma + b)."""
+        rng = np.random.default_rng(11)
+        self._check_against_loop(rng.choice([-1.0, 0.5, 2.0], size=(3, 6, 8, 4)), rng)
+        p = ActivationParams(c=0.5, gamma=0.1, b=1.0)
+        x = rng.uniform(0.15, 1.05, size=(2, 8, 8, 3))
+        h = mmelu(x, p)
+        assert np.ptp(h) < 1e-12 < np.ptp(x)  # flat up to roundoff
+        self._check_against_loop(h, rng)
+        self._check_against_loop(np.full((1, 4, 4, 2), 0.55), rng)
+
+    def test_signed_zeros_match_loop(self):
+        """-0.0 and +0.0 tie: the first cell wins the route and its sign
+        is the pooled value's."""
+        rng = np.random.default_rng(12)
+        h = rng.choice([-0.0, 0.0, -1.0], size=(4, 6, 6, 3))
+        assert np.signbit(h).any() and (np.signbit(h) & (h == 0)).any()
+        self._check_against_loop(h, rng)
+
+    def test_odd_sizes_drop_last_row_and_column(self):
+        rng = np.random.default_rng(13)
+        h = rng.normal(size=(2, 5, 7, 3))
+        gx = self._check_against_loop(h, rng)
+        assert gx.shape == h.shape
+        assert not gx[:, 4].any() and not gx[:, :, 6].any()
+
+    def test_backward_leaves_positive_zero_off_route(self):
+        """Every cell that receives no gradient holds +0.0, while the
+        routed cells hold g exactly, even where g is negative or -0.0."""
+        rng = np.random.default_rng(14)
+        h = rng.normal(size=(3, 7, 6, 2))
+        g = -np.abs(rng.normal(size=(3, 3, 3, 2)))
+        g[0, 0, 0, 0] = -0.0
+        _, route = network_module._maxpool_forward(h, True)
+        gx = network_module._maxpool_backward(g, route, h.shape)
+        routed = _loop_pool(h, np.ones_like(g))[1] == 1.0
+        assert routed.sum() == g.size
+        off = gx[~routed]
+        assert np.all(off == 0.0) and not np.signbit(off).any()
+        assert gx[routed].tobytes() == _loop_pool(h, g)[1][routed].tobytes()
+        assert np.signbit(gx[routed]).all()
+
     def test_routing_single_winner(self):
         """Each pooling window's gradient lands on exactly one input cell."""
         layers = [maxpool(), flatten(), dense(4, 2), softmax_layer()]
