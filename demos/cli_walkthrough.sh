@@ -24,7 +24,7 @@ cat > "$work/train.json" <<'JSON'
 JSON
 
 echo; echo "== train (Gibbs sampler) =="
-gibbsnn train --config "$work/train.json" --out "$work/run" --deterministic
+gibbsnn train --config "$work/train.json" --out "$work/run"
 
 cat > "$work/eval.json" <<JSON
 {

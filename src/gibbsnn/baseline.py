@@ -15,7 +15,7 @@ import numpy as np
 
 from .activations import make_params, registered_names, trainable_names, with_values
 from .errors import ConfigError, NumericalError
-from .network import Network, output_loss
+from .network import LOSS_KINDS, Network, output_loss
 from .optim import Adam, SGD
 
 OPTIMIZERS = ("adam", "sgd")
@@ -23,36 +23,60 @@ OPTIMIZERS = ("adam", "sgd")
 
 @dataclass
 class BaselineConfig:
+    """Knobs of the gradient-trained arm; the fields are the keys of a run
+    config's baseline section, with `loss` for loss_kind."""
+
     activation: str = "relu"
     act_params: dict | None = None  # None -> registry defaults
     optimizer: str = "adam"
     learning_rate: float = 1e-3
     epochs: int = 50
     batch_size: int = 32
-    l1: float = 0.0  # scalar or per-layer sequence
+    l1: float | list = 0.0  # one coefficient, or one per weighted layer
     dropout: dict = field(default_factory=dict)  # layer index -> rate
     loss_kind: str = "cross-entropy"
     train_activation: bool = True
 
-    def validate(self):
+    def validate(self, net: Network | None = None):
+        """Range checks; each message starts with the offending field.
+        With `net`, also that the network is built for `activation` and
+        that l1 and dropout name its layers."""
         if self.activation not in registered_names():
-            raise ConfigError(f"unknown activation {self.activation!r}")
+            raise ConfigError(f"activation: unknown activation {self.activation!r}; "
+                              f"known: {sorted(registered_names())}")
+        if net is not None and net.activation_name not in (None, self.activation):
+            raise ConfigError(f"activation: the network is built for "
+                              f"{net.activation_name!r}, not {self.activation!r}")
         try:
             make_params(self.activation, self.act_params)
         except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"act_params: {exc}") from None
+            raise ConfigError(f"act_params: {exc.args[0]}") from None  # no KeyError quotes
         if self.optimizer not in OPTIMIZERS:
-            raise ConfigError(f"optimizer must be one of {OPTIMIZERS}")
+            raise ConfigError(f"optimizer: must be one of {OPTIMIZERS}, got {self.optimizer!r}")
         # learning_rate 0 is allowed (freeze); negative rates are not
         if self.learning_rate < 0:
-            raise ConfigError("learning_rate must be >= 0")
+            raise ConfigError(f"learning_rate: must be >= 0, got {self.learning_rate}")
         if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
+            raise ConfigError(f"epochs: must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
+            raise ConfigError(f"batch_size: must be >= 1, got {self.batch_size}")
+        try:
+            l1 = np.asarray(self.l1, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"l1: {exc}") from None
+        if l1.ndim > 1 or (net is not None and l1.ndim == 1 and len(l1) != net.n_layers):
+            raise ConfigError(f"l1: must be one number or one per weighted layer, "
+                              f"got {self.l1!r}")
+        if np.any(l1 < 0):
+            raise ConfigError(f"l1: coefficients must be non-negative, got {self.l1!r}")
         for i, rate in self.dropout.items():
             if not 0.0 <= rate < 1.0:
-                raise ConfigError(f"dropout rate at layer {i} must lie in [0,1), got {rate}")
+                raise ConfigError(f"dropout: rate at layer {i} must lie in [0, 1), got {rate}")
+            if net is not None and not 0 <= i < len(net.spec.layers):
+                raise ConfigError(f"dropout: layer {i} is not a layer of the network "
+                                  f"(0 to {len(net.spec.layers) - 1})")
+        if self.loss_kind not in LOSS_KINDS:
+            raise ConfigError(f"loss_kind: must be one of {LOSS_KINDS}, got {self.loss_kind!r}")
         return self
 
 
@@ -108,17 +132,6 @@ def _rate(pred, y, positive) -> float:
     return float(np.mean(pred[mask] == positive))
 
 
-def _l1_vector(l1, n_layers):
-    arr = np.asarray(l1, dtype=np.float64)
-    if arr.ndim == 0:
-        arr = np.full(n_layers, float(arr))
-    if arr.shape != (n_layers,):
-        raise ConfigError(f"l1 must be a scalar or one value per weighted layer ({n_layers})")
-    if np.any(arr < 0):
-        raise ConfigError("l1 coefficients must be non-negative")
-    return arr
-
-
 def train_baseline(net: Network, cfg: BaselineConfig, train, test, seed: int = 0):
     """Epoch loop over mini-batches; returns (w, act_params, history).
 
@@ -129,11 +142,7 @@ def train_baseline(net: Network, cfg: BaselineConfig, train, test, seed: int = 0
     parameters both, is returned, with the event recorded in
     history[-1]["diverged"] and no other rows for that epoch.
     """
-    cfg.validate()
-    if net.activation_name is not None and net.activation_name != cfg.activation:
-        raise ConfigError(
-            f"network is built for activation {net.activation_name!r}, "
-            f"config says {cfg.activation!r}")
+    cfg.validate(net)
     root = np.random.SeedSequence(seed)
     init_ss, order_ss, mask_ss = root.spawn(3)
     rng = np.random.Generator(np.random.PCG64(init_ss))
@@ -143,7 +152,7 @@ def train_baseline(net: Network, cfg: BaselineConfig, train, test, seed: int = 0
     w = net.init_weights(rng)
     act = make_params(cfg.activation, cfg.act_params)
     t_names = trainable_names(cfg.activation) if cfg.train_activation else ()
-    l1 = _l1_vector(cfg.l1, net.n_layers)
+    l1 = np.broadcast_to(np.asarray(cfg.l1, dtype=np.float64), (net.n_layers,))
 
     opt_cls = Adam if cfg.optimizer == "adam" else SGD
     opt_w = opt_cls(cfg.learning_rate)

@@ -3,8 +3,8 @@
 Numbers are emitted with Python's shortest-round-trip float repr and keys
 are sorted, so save -> load -> save is byte-identical.  The file stores
 the point estimate (weights, activation parameters, scales), per-chain
-final states with their RNG states when the producer was the sampler, and
-provenance (config hash, seed, package version).
+final states when the producer was the sampler, and provenance (config
+hash, seed, package version).
 """
 
 import hashlib
@@ -14,7 +14,7 @@ import numpy as np
 
 from .activations import make_params, params_doc
 from .errors import FormatError
-from .model import HyperState
+from .model import HyperState, ModelState
 from .network import NetworkSpec
 
 FORMAT_VERSION = 1
@@ -58,8 +58,8 @@ def save_checkpoint(path, net_spec: NetworkSpec, w, act, hyper,
     """Write a checkpoint.
 
     w/act/hyper describe the point estimate (hyper may be None for the
-    gradient-descent path).  `chains` optionally carries per-chain dicts
-    {"state": ModelState, "rng_state": bit-generator state dict}.
+    gradient-descent path).  `chains` optionally carries each chain's
+    final ModelState.
     """
     doc = {
         "format_version": FORMAT_VERSION,
@@ -68,11 +68,7 @@ def save_checkpoint(path, net_spec: NetworkSpec, w, act, hyper,
         "state": _state_doc(w, act, hyper),
         "iteration": int(iteration),
         "provenance": dict(provenance),
-        "chains": [
-            {"state": _state_doc(ch["state"].w, ch["state"].act, ch["state"].hyper),
-             "rng_state": ch.get("rng_state")}
-            for ch in (chains or [])
-        ],
+        "chains": [{"state": _state_doc(ch.w, ch.act, ch.hyper)} for ch in chains or []],
     }
     with open(path, "w") as fh:
         fh.write(_canon(doc))
@@ -83,8 +79,9 @@ def load_checkpoint(path) -> dict:
     """Read a checkpoint back; inverse of save_checkpoint.
 
     Returns a dict with keys: network (NetworkSpec), state (a dict of w,
-    act and hyper), iteration, provenance, chains, activation_name,
-    raw.
+    act and hyper), iteration, provenance, chains (a ModelState per
+    chain) and activation_name.  Keys that older files hold beyond these,
+    such as a chain's rng_state, are ignored.
     """
     with open(path) as fh:
         raw = fh.read()
@@ -104,18 +101,9 @@ def load_checkpoint(path) -> dict:
             "state": _state_from(doc["state"], name),
             "iteration": doc["iteration"],
             "provenance": doc["provenance"],
-            "chains": [
-                {"state": _state_from(ch["state"], name),
-                 "rng_state": ch.get("rng_state")}
-                for ch in doc.get("chains", [])
-            ],
-            "raw": doc,
+            "chains": [ModelState(**_state_from(ch["state"], name))
+                       for ch in doc.get("chains", [])],
         }
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed checkpoint: {exc!r}") from None
 
-
-def resave(path, loaded: dict):
-    """Re-serialize a loaded checkpoint; used to verify byte-identity."""
-    with open(path, "w") as fh:
-        fh.write(_canon(loaded["raw"]))

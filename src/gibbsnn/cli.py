@@ -81,17 +81,13 @@ def _metric_curves(xs, rows, over, out):
 def cmd_train(args) -> int:
     doc = _load_doc(args)
     cfg = cfgmod.validate_train(doc)
+    scfg = cfgmod.sampler_config(cfg["sampler"], args.chains)
+    train, test = _dataset_pair(cfg["dataset"])
+    net, _ = cfgmod.build_network(cfg["network"], cfg["activation"], train)
+    model = BayesModel(net, train.inputs, train.labels, loss_kind=cfg["loss"])
     seed = args.seed if args.seed is not None else cfg["seed"]
     out = _ensure_out(args.out or cfg["out"] or "run-train")
     _write_run_meta(out, "train", doc, seed)
-
-    train, test = _dataset_pair(cfg["dataset"])
-    net, _ = cfgmod.build_network(cfg["network"], cfg["activation"], train)
-    if cfg["activation"] != "mmelu":
-        raise ConfigError("config.activation: the sampler trains the 'mmelu' "
-                          "activation; use the baseline command for the zoo")
-    model = BayesModel(net, train.inputs, train.labels, loss_kind=cfg["loss"])
-    scfg = cfgmod.sampler_config(cfg["sampler"], args.chains)
 
     interval = cfg["eval_interval"]
     metrics_rows = []
@@ -130,7 +126,7 @@ def cmd_train(args) -> int:
         os.path.join(out, "checkpoint.json"), net.spec,
         mean_state.w, mean_state.act, mean_state.hyper,
         iteration=scfg.n_sweeps, provenance=provenance,
-        chains=[{"state": t.final_state, "rng_state": t.rng_state} for t in traces],
+        chains=[t.final_state for t in traces],
         activation_name="mmelu")
 
     m = evaluate(net, mean_state.w, mean_state.act, test, cfg["loss"])
@@ -145,14 +141,11 @@ def cmd_train(args) -> int:
 def cmd_baseline(args) -> int:
     doc = _load_doc(args)
     cfg = cfgmod.validate_baseline(doc)
+    train, test = _dataset_pair(cfg["dataset"])
+    net, bcfg = cfgmod.baseline_config(cfg["baseline"], cfg["network"], train)
     seed = args.seed if args.seed is not None else cfg["seed"]
     out = _ensure_out(args.out or cfg["out"] or "run-baseline")
     _write_run_meta(out, "baseline", doc, seed)
-
-    train, test = _dataset_pair(cfg["dataset"])
-    activation = cfg["baseline"]["activation"]
-    net, preset_dropout = cfgmod.build_network(cfg["network"], activation, train)
-    bcfg = cfgmod.baseline_config(cfg["baseline"], preset_dropout)
 
     w, act, history = train_baseline(net, bcfg, train, test, seed)
     write_history(history, os.path.join(out, "history.csv"))
@@ -167,14 +160,14 @@ def cmd_baseline(args) -> int:
                   "version": __version__}
     ckpt.save_checkpoint(
         os.path.join(out, "checkpoint.json"), net.spec, w, act, None,
-        iteration=len(epochs), provenance=provenance, activation_name=activation)
+        iteration=len(epochs), provenance=provenance, activation_name=bcfg.activation)
 
     diverged = len(completed) < len(history)
     if diverged:
         print("training diverged; checkpoint holds the last finite state")
         return EXIT_NUMERIC
     m = evaluate(net, w, act, test, bcfg.loss_kind)
-    print(f"{activation} baseline on test: accuracy={m.accuracy:.4f} "
+    print(f"{bcfg.activation} baseline on test: accuracy={m.accuracy:.4f} "
           f"loss={m.loss:.4f} sensitivity={m.sensitivity:.4f} "
           f"specificity={m.specificity:.4f}")
     return EXIT_OK
@@ -253,26 +246,25 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
-        p.add_argument("--config", required=config_required, help="JSON config path")
-        p.add_argument("--seed", type=int, default=None, help="overrides config seed")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--deterministic", action="store_true",
-                       help="single-threaded deterministic mode (chains run "
-                            "sequentially; this is also the default behavior)")
+    def command(name, fn, help):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--config", required=True, help="JSON config path")
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("train", help="run the Gibbs sampler")
-    common(p)
-    p.add_argument("--chains", type=int, default=None, help="overrides chain count")
-    p.set_defaults(fn=cmd_train)
+    def run_flags(p):
+        p.add_argument("--seed", type=int, default=None, help="overrides the config's seed")
+        p.add_argument("--out", default=None, help="run directory; overrides the config's out")
 
-    p = sub.add_parser("baseline", help="gradient-descent comparison arm")
-    common(p)
-    p.set_defaults(fn=cmd_baseline)
+    p = command("train", cmd_train, "run the Gibbs sampler")
+    run_flags(p)
+    p.add_argument("--chains", type=int, default=None, help="overrides the chain count")
 
-    p = sub.add_parser("eval", help="metrics of a checkpointed model")
-    common(p)
-    p.set_defaults(fn=cmd_eval)
+    run_flags(command("baseline", cmd_baseline, "gradient-descent comparison arm"))
+
+    p = command("eval", cmd_eval, "metrics of a checkpointed model")
+    p.add_argument("--out", default=None,
+                   help="directory for eval.json; overrides the config's out")
 
     p = sub.add_parser("diag", help="diagnostics over trace CSVs")
     p.add_argument("traces", nargs="*", help="trace CSV paths")
@@ -280,9 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_diag)
 
-    p = sub.add_parser("data-convert", help="convert between dataset formats")
-    common(p)
-    p.set_defaults(fn=cmd_data_convert)
+    command("data-convert", cmd_data_convert, "convert between dataset formats")
     return ap
 
 

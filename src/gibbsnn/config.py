@@ -1,16 +1,18 @@
 """Run-configuration documents: JSON schema validation and object building.
 
 Validation is strict: unknown keys are rejected, every message names the
-offending field path.  Builders turn a validated document into datasets,
-network specs, and sampler/baseline configurations.
+offending field path.  Builders turn a document into datasets, networks,
+and a SamplerConfig or BaselineConfig, whose fields are the keys of the
+sampler or baseline section and whose validate() checks their values.
 """
 
+import dataclasses
 import json
+import typing
 
 import numpy as np
 
 from . import data as dataio
-from .activations import registered_names
 from .baseline import BaselineConfig
 from .diagnostics import SPLIT_RHAT_MIN_ROWS
 from .errors import ConfigError
@@ -36,6 +38,15 @@ def _type_name(kind):
             list: "list", dict: "object"}.get(kind, str(kind))
 
 
+def _admits(kind, val) -> bool:
+    """Whether JSON value `val` has type `kind`: a boolean is no number,
+    and an integer is a number."""
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    if isinstance(val, bool):
+        return bool in kinds
+    return isinstance(val, kinds) or (float in kinds and isinstance(val, int))
+
+
 def validate(doc, schema: dict, path: str = "config") -> dict:
     """Check `doc` against `schema`; returns doc with defaults filled in."""
     if not isinstance(doc, dict):
@@ -53,17 +64,10 @@ def validate(doc, schema: dict, path: str = "config") -> dict:
             out[name] = fld.default
             continue
         val = doc[name]
-        kind = fld.kind
-        if kind is float:
-            if isinstance(val, bool) or not isinstance(val, (int, float)):
-                raise ConfigError(f"{where}: expected number, got {val!r}")
+        if not _admits(fld.kind, val):
+            raise ConfigError(f"{where}: expected {_type_name(fld.kind)}, got {val!r}")
+        if fld.kind is float:
             val = float(val)
-        elif kind is int:
-            if isinstance(val, bool) or not isinstance(val, int):
-                raise ConfigError(f"{where}: expected integer, got {val!r}")
-        elif not isinstance(val, kind):
-            raise ConfigError(
-                f"{where}: expected {_type_name(kind)}, got {val!r}")
         if fld.check is not None:
             msg = fld.check(val)
             if msg:
@@ -76,10 +80,6 @@ def _positive(v):
     return None if v > 0 else f"must be positive, got {v}"
 
 
-def _non_negative(v):
-    return None if v >= 0 else f"must be non-negative, got {v}"
-
-
 def _fraction_pair(v):
     if len(v) != 2 or not all(isinstance(x, (int, float)) for x in v):
         return "expected [train_fraction, test_fraction]"
@@ -88,9 +88,9 @@ def _fraction_pair(v):
     return None
 
 
-def _known_activation(v):
-    return None if v in registered_names() else (
-        f"unknown activation {v!r}; known: {sorted(registered_names())}")
+def _sampled_activation(v):
+    return None if v == "mmelu" else ("the sampler trains the 'mmelu' activation; "
+                                      "use the baseline command for the zoo")
 
 
 def _known_loss(v):
@@ -234,22 +234,10 @@ def build_network(doc, activation, train=None):
 
 # --- train / baseline / eval / convert documents -------------------------------
 
-_SAMPLER_SCHEMA = {
-    "n_sweeps": Field(int, default=1000, check=_positive),
-    "burn_in": Field(int, default=350, check=_non_negative),
-    "n_chains": Field(int, default=2, check=_positive),
-    "leapfrog_steps": Field(int, default=5, check=_positive),
-    "step_size": Field(float, default=0.02, check=_positive),
-    "thin": Field(int, default=1, check=_positive),
-    "adapt": Field(bool, default=True),
-    "batch_size": Field(int, default=None, check=_positive),
-    "scalar_subsweeps": Field(int, default=1, check=_positive),
-}
-
 _TRAIN_SCHEMA = {
     "dataset": Field(dict, required=True),
     "network": Field(dict, required=True),
-    "activation": Field(str, default="mmelu", check=_known_activation),
+    "activation": Field(str, default="mmelu", check=_sampled_activation),
     "loss": Field(str, default="cross-entropy", check=_known_loss),
     "sampler": Field(dict, default=None),
     "seed": Field(int, default=0),
@@ -263,20 +251,6 @@ _BASELINE_SCHEMA = {
     "baseline": Field(dict, default=None),
     "seed": Field(int, default=0),
     "out": Field(str, default=None),
-}
-
-_BASELINE_SECTION = {
-    "activation": Field(str, default="relu", check=_known_activation),
-    "act_params": Field(dict, default=None),
-    "optimizer": Field(str, default="adam"),
-    "learning_rate": Field(float, default=1e-3, check=_non_negative),
-    "epochs": Field(int, default=50, check=_positive),
-    "batch_size": Field(int, default=32, check=_positive),
-    "l1": Field((int, float, list), default=0.0),
-    # true: the preset's rates; false: none; an object: explicit rates
-    "dropout": Field((dict, bool), default=True),
-    "loss": Field(str, default="cross-entropy", check=_known_loss),
-    "train_activation": Field(bool, default=True),
 }
 
 _EVAL_SCHEMA = {
@@ -312,7 +286,6 @@ def validate_train(doc) -> dict:
     out = validate(doc, _TRAIN_SCHEMA)
     out["dataset"] = validate_dataset(out["dataset"])
     out["network"] = validate_network(out["network"])
-    out["sampler"] = validate(out["sampler"] or {}, _SAMPLER_SCHEMA, "config.sampler")
     return out
 
 
@@ -320,8 +293,6 @@ def validate_baseline(doc) -> dict:
     out = validate(doc, _BASELINE_SCHEMA)
     out["dataset"] = validate_dataset(out["dataset"])
     out["network"] = validate_network(out["network"])
-    out["baseline"] = validate(out["baseline"] or {}, _BASELINE_SECTION,
-                               "config.baseline")
     return out
 
 
@@ -345,40 +316,80 @@ def validate_convert(doc) -> dict:
     return out
 
 
-def sampler_config(section: dict, chains_override=None) -> SamplerConfig:
-    """SamplerConfig from a validated sampler section; every key is a
-    SamplerConfig field.  With two or more chains the post-burn-in window
-    must keep enough rows per chain for the split R-hat in report.csv."""
-    kw = dict(section)
-    if chains_override:
-        kw["n_chains"] = chains_override
-    cfg = SamplerConfig(**kw).validate()
+# --- sampler and baseline sections: SamplerConfig and BaselineConfig ----------
+
+# the two switches that only tests turn off stay out of the file format
+_SAMPLER_KEYS = {f.name: f.name for f in dataclasses.fields(SamplerConfig)
+                 if f.name not in ("update_weights", "update_activation")}
+_BASELINE_KEYS = {f.name: "loss" if f.name == "loss_kind" else f.name
+                  for f in dataclasses.fields(BaselineConfig)}
+
+
+def _json_kind(annotation):
+    """The JSON type(s) of a field annotation; None (unset) has no JSON form."""
+    kinds = tuple(k for k in typing.get_args(annotation) or (annotation,)
+                  if k is not type(None))
+    return kinds[0] if len(kinds) == 1 else kinds
+
+
+def _section(cls, doc, path, keys) -> dict:
+    """Keyword arguments of dataclass `cls` from a config section whose
+    keys are `keys` (field name -> key).  Types are checked here; an
+    omitted key keeps the field's default."""
+    doc = doc or {}
+    hints = typing.get_type_hints(cls)
+    out = validate(doc, {key: Field(_json_kind(hints[name])) for name, key in keys.items()},
+                   path)
+    return {name: out[key] for name, key in keys.items() if key in doc}
+
+
+def _checked(cfg, path, keys, **context):
+    """cfg.validate(**context), its message led by the section path and
+    the key of the field it names."""
+    try:
+        return cfg.validate(**context)
+    except ConfigError as exc:
+        name, _, msg = str(exc).partition(": ")
+        raise ConfigError(f"{path}.{keys.get(name, name)}: {msg}") from None
+
+
+def sampler_config(section, chains=None) -> SamplerConfig:
+    """The validated SamplerConfig of a sampler section, with `chains`,
+    when given, for n_chains.  With two or more chains the post-burn-in
+    window must keep enough rows per chain for report.csv's split R-hat."""
+    kw = _section(SamplerConfig, section, "config.sampler", _SAMPLER_KEYS)
+    if chains is not None:
+        kw["n_chains"] = chains
+    cfg = _checked(SamplerConfig(**kw), "config.sampler", _SAMPLER_KEYS)
     # recorded sweeps are the multiples of thin; those >= burn_in are kept
     kept = len(range(-(-cfg.burn_in // cfg.thin) * cfg.thin, cfg.n_sweeps, cfg.thin))
     if cfg.n_chains >= 2 and kept < SPLIT_RHAT_MIN_ROWS:
         raise ConfigError(
-            f"config.sampler: n_sweeps {cfg.n_sweeps} with burn_in {cfg.burn_in} and thin "
-            f"{cfg.thin} keeps {kept} rows per chain; the split R-hat over "
+            f"config.sampler.burn_in: n_sweeps {cfg.n_sweeps} with burn_in {cfg.burn_in} "
+            f"and thin {cfg.thin} keeps {kept} rows per chain; the split R-hat over "
             f"{cfg.n_chains} chains needs at least {SPLIT_RHAT_MIN_ROWS}")
     return cfg
 
 
-def baseline_config(section: dict, preset_dropout: dict) -> BaselineConfig:
-    dropout = section["dropout"]
+def baseline_config(section, network_doc, train=None):
+    """(Network, validated BaselineConfig) of a baseline document.
+
+    dropout is true (the default: the preset's table), false (none) or a
+    {layer index: rate} object.
+    """
+    path = "config.baseline"
+    section = dict(section or {})
+    dropout = section.pop("dropout", True)
+    if not isinstance(dropout, bool):
+        section["dropout"] = dropout
+    kw = _section(BaselineConfig, section, path, _BASELINE_KEYS)
+    try:
+        kw["dropout"] = {int(k): float(v) for k, v in kw.get("dropout", {}).items()}
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}.dropout: {exc}") from None
+    # the activation is checked before the network is built with it
+    cfg = _checked(BaselineConfig(**kw), path, _BASELINE_KEYS)
+    net, preset_dropout = build_network(network_doc, cfg.activation, train)
     if dropout is True:
-        dropout = dict(preset_dropout)
-    elif dropout is False:
-        dropout = {}
-    else:
-        try:
-            dropout = {int(k): float(v) for k, v in dropout.items()}
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"config.baseline.dropout: {exc}") from None
-    l1 = section["l1"]
-    return BaselineConfig(
-        activation=section["activation"], act_params=section["act_params"],
-        optimizer=section["optimizer"], learning_rate=section["learning_rate"],
-        epochs=section["epochs"], batch_size=section["batch_size"],
-        l1=l1 if not isinstance(l1, list) else np.asarray(l1, dtype=np.float64),
-        dropout=dropout, loss_kind=section["loss"],
-        train_activation=section["train_activation"]).validate()
+        cfg.dropout = dict(preset_dropout)
+    return net, _checked(cfg, path, _BASELINE_KEYS, net=net)

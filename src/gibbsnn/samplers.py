@@ -179,7 +179,8 @@ def nshmc_step(q, rng, energy_grad, l1_scale, step, n_leapfrog):
 
 @dataclass
 class SamplerConfig:
-    """Knobs of the Gibbs run.
+    """Knobs of the Gibbs run; the fields but update_weights and
+    update_activation are the keys of a run config's sampler section.
 
     n_sweeps counts total sweeps including burn_in; burn_in draws are kept
     in the trace (for plots) but excluded from estimators.  batch_size
@@ -202,23 +203,24 @@ class SamplerConfig:
     scalar_subsweeps: int = 1
 
     def validate(self):
+        """Range checks; each message starts with the offending field."""
         if self.n_sweeps < 1:
-            raise ConfigError("n_sweeps must be >= 1")
+            raise ConfigError(f"n_sweeps: must be >= 1, got {self.n_sweeps}")
         if not 0 <= self.burn_in < self.n_sweeps:
             raise ConfigError(
-                f"burn_in must lie in [0, n_sweeps), got {self.burn_in} of {self.n_sweeps}")
+                f"burn_in: must lie in [0, n_sweeps), got {self.burn_in} of {self.n_sweeps}")
         if self.thin < 1:
-            raise ConfigError("thin must be >= 1")
+            raise ConfigError(f"thin: must be >= 1, got {self.thin}")
         if self.leapfrog_steps < 1:
-            raise ConfigError("leapfrog_steps must be >= 1")
+            raise ConfigError(f"leapfrog_steps: must be >= 1, got {self.leapfrog_steps}")
         if self.step_size <= 0:
-            raise ConfigError("step_size must be positive")
+            raise ConfigError(f"step_size: must be positive, got {self.step_size}")
         if self.n_chains < 1:
-            raise ConfigError("n_chains must be >= 1")
+            raise ConfigError(f"n_chains: must be >= 1, got {self.n_chains}")
         if self.batch_size is not None and self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1 when set")
+            raise ConfigError(f"batch_size: must be >= 1 when set, got {self.batch_size}")
         if self.scalar_subsweeps < 1:
-            raise ConfigError("scalar_subsweeps must be >= 1")
+            raise ConfigError(f"scalar_subsweeps: must be >= 1, got {self.scalar_subsweeps}")
         return self
 
 
@@ -439,7 +441,6 @@ def run_chain(model: BayesModel, cfg: SamplerConfig, rng: np.random.Generator,
             callback(sweep, chain)
 
     trace.final_state = st.copy()
-    trace.rng_state = rng.bit_generator.state
     trace.accept_rates = chain.accept_rates()
     trace.divergences = chain.divergences
     trace.step_size = chain.step_size

@@ -383,8 +383,8 @@ class TestAcceptance:
                    f"{mb.accuracy:.3f}, {dt:.0f}s (limit 3600s)", ok)
 
     def test_criterion_09_reproducibility(self, tmp_path):
-        """Identical seed and --deterministic give bit-identical traces
-        and checkpoints across two full command-line runs."""
+        """An identical seed gives bit-identical traces and checkpoints
+        across two full command-line runs."""
         doc = {
             "dataset": {"kind": "synth-blobs", "n": 60, "d": 4, "classes": 2,
                         "irrelevant_fraction": 0.5, "separation": 6.0,
@@ -403,7 +403,7 @@ class TestAcceptance:
             buf = io.StringIO()
             with contextlib.redirect_stdout(buf):
                 code = main(["train", "--config", str(cfg), "--out", str(out),
-                             "--deterministic", "--seed", "4"])
+                             "--seed", "4"])
             assert code == EXIT_OK
         same = all(
             (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()

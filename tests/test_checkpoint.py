@@ -2,13 +2,15 @@
 activation: what load_checkpoint returns must save back to the same bytes,
 in the parameter types the network dispatch takes."""
 
+import json
+
 import numpy as np
 import pytest
 
 from gibbsnn import checkpoint as ckpt
 from gibbsnn.activations import (
     ActivationParams, make_params, registered_names, trainable_names, with_values)
-from gibbsnn.model import HyperState
+from gibbsnn.model import HyperState, ModelState
 from gibbsnn.network import Network
 from gibbsnn.presets import mlp
 
@@ -55,3 +57,23 @@ def test_round_trip_through_parsed_state(name, tmp_path):
                 assert isinstance(val, float) and val == act[key]
     for a, b in zip(st["w"], w):
         assert a.dtype == np.float64 and a.tobytes() == b.tobytes()
+
+
+def test_chain_rng_state_of_older_files_is_ignored(tmp_path):
+    """Files that still carry a chain's rng_state load, and the chain
+    states come back as the saved ModelState."""
+    rng = np.random.default_rng(1)
+    spec, _ = mlp(3, 2, hidden=(4,))
+    w = Network(spec).init_weights(rng)
+    chain = ModelState(w, make_params("mmelu"), HyperState(np.ones(2), lam_b=0.5, sigma2=2.0))
+    path = tmp_path / "old.json"
+    ckpt.save_checkpoint(path, spec, w, chain.act, chain.hyper, iteration=1,
+                         provenance={}, chains=[chain])
+    doc = json.loads(path.read_text())
+    doc["chains"][0]["rng_state"] = {"bit_generator": "PCG64", "state": {"state": 1, "inc": 3}}
+    path.write_text(json.dumps(doc))
+
+    (got,) = ckpt.load_checkpoint(path)["chains"]
+    assert got.act == chain.act and got.hyper.sigma2 == 2.0
+    for a, b in zip(got.w, w):
+        assert a.tobytes() == b.tobytes()

@@ -11,9 +11,13 @@ import numpy as np
 import pytest
 
 from gibbsnn import checkpoint as ckpt
+from gibbsnn import config as cfgmod
+from gibbsnn.baseline import BaselineConfig
 from gibbsnn.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 from gibbsnn.data import Dataset, load_csv, write_csv, write_idx
 from gibbsnn.network import NetworkSpec, dense, softmax_layer
+from gibbsnn.presets import cnn1
+from gibbsnn.samplers import SamplerConfig
 
 
 def _train_doc(**sampler):
@@ -98,12 +102,18 @@ class TestTrainCommand:
         assert {r["split"] for r in rows} == {"train", "test"}
 
     def test_checkpoint_round_trip_is_byte_identical(self, train_run, tmp_path):
-        """save -> load -> save reproduces the file exactly."""
+        """save -> load -> save reproduces the file exactly, through the
+        parsed point estimate and chain states."""
         _, out, _ = train_run
         original = (out / "checkpoint.json").read_bytes()
         loaded = ckpt.load_checkpoint(out / "checkpoint.json")
+        assert len(loaded["chains"]) == 2
+        st = loaded["state"]
         again = tmp_path / "again.json"
-        ckpt.resave(again, loaded)
+        ckpt.save_checkpoint(again, loaded["network"], st["w"], st["act"], st["hyper"],
+                             iteration=loaded["iteration"], provenance=loaded["provenance"],
+                             chains=loaded["chains"],
+                             activation_name=loaded["activation_name"])
         assert again.read_bytes() == original
 
     def test_chains_override(self, tmp_path):
@@ -114,6 +124,15 @@ class TestTrainCommand:
         assert code == EXIT_OK
         assert (out / "trace_chain0.csv").exists()
         assert not (out / "trace_chain1.csv").exists()
+
+    def test_chains_zero_is_config_error(self, tmp_path, capsys):
+        """A given --chains overrides the config and is range-checked."""
+        cfg = _write(tmp_path / "t.json", _train_doc(n_sweeps=10, burn_in=2))
+        out = tmp_path / "out"
+        code, _ = _run(["train", "--config", cfg, "--out", str(out), "--chains", "0"])
+        assert code == EXIT_CONFIG
+        assert "config.sampler.n_chains: " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_mmelu_activation_rejected(self, tmp_path, capsys):
         doc = _train_doc(n_sweeps=5)
@@ -181,6 +200,75 @@ class TestTrainCommand:
         assert "'cnn1'" in err and "(4,)" in err
 
 
+def _baseline_doc(**section):
+    base = {"activation": "relu", "epochs": 5, "batch_size": 16,
+            "learning_rate": 1e-2, "dropout": False}
+    base.update(section)
+    return {
+        "dataset": {"kind": "synth-blobs", "n": 80, "d": 2, "classes": 2,
+                    "irrelevant_fraction": 0.0, "separation": 8.0,
+                    "seed": 5, "split": [0.75, 0.25], "split_seed": 1},
+        "network": {"preset": "mlp", "hidden": [4]},
+        "baseline": base,
+        "seed": 2,
+    }
+
+
+class TestConfigSections:
+    """The sampler and baseline sections are the fields of SamplerConfig
+    and BaselineConfig: each value error names its key and stops the run
+    before anything is written."""
+
+    @pytest.mark.parametrize("command, section, key, value", [
+        ("train", "sampler", "burn_in", 2000),
+        ("baseline", "baseline", "optimizer", "rmsprop"),
+        ("baseline", "baseline", "dropout", {"0": 1.5}),
+        ("baseline", "baseline", "act_params", {"beta": 1.0}),
+        ("train", "sampler", "step_size", 0.0),
+        ("baseline", "baseline", "learning_rate", -1e-3),
+        ("baseline", "baseline", "l1", [0.1, 0.1, 0.1]),
+        ("baseline", "baseline", "dropout", {"9": 0.5}),
+    ], ids=["burn_in", "optimizer", "dropout-rate", "act_params", "step_size",
+            "learning_rate", "l1-length", "dropout-layer"])
+    def test_value_error_names_key_and_writes_nothing(self, tmp_path, capsys,
+                                                      command, section, key, value):
+        doc = _train_doc() if command == "train" else _baseline_doc()
+        doc[section][key] = value
+        cfg = _write(tmp_path / "c.json", doc)
+        out = tmp_path / "out"
+        code, _ = _run([command, "--config", cfg, "--out", str(out)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: config.{section}.{key}: "), err
+        assert not (out / "run.json").exists()
+
+    def test_test_only_switches_are_not_keys(self, tmp_path, capsys):
+        cfg = _write(tmp_path / "t.json", _train_doc(update_weights=False))
+        code, _ = _run(["train", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "unknown keys ['update_weights']" in err and "'scalar_subsweeps'" in err
+        assert "update_activation" not in err
+
+    def test_omitted_sections_are_the_dataclass_defaults(self):
+        assert cfgmod.sampler_config(None) == SamplerConfig()
+        network = {"preset": "cnn1", "input_shape": [28, 28, 1], "class_count": 10}
+        _, cfg = cfgmod.baseline_config(None, network)
+        assert cfg == BaselineConfig(dropout=cnn1(activation="relu")[1])
+
+    def test_keys_map_to_fields(self):
+        section = {"activation": "prelu", "loss": "squared-error", "learning_rate": 1,
+                   "l1": [0, 0.5], "dropout": {"1": 0.25}, "train_activation": False}
+        _, cfg = cfgmod.baseline_config(section, {"preset": "mlp", "input_shape": [3],
+                                                  "class_count": 2})
+        assert cfg == BaselineConfig(activation="prelu", loss_kind="squared-error",
+                                     learning_rate=1.0, l1=[0, 0.5], dropout={1: 0.25},
+                                     train_activation=False)
+        assert isinstance(cfg.learning_rate, float)
+        assert cfgmod.sampler_config({"step_size": 1, "n_chains": 3}, chains=1) == \
+            SamplerConfig(step_size=1.0, n_chains=1)
+
+
 class TestDeterministicRepeat:
     def test_same_seed_same_bytes(self, tmp_path):
         """Identical seed and flags give byte-identical traces and
@@ -189,7 +277,7 @@ class TestDeterministicRepeat:
         outs = [tmp_path / "a", tmp_path / "b"]
         for out in outs:
             code, _ = _run(["train", "--config", cfg, "--out", str(out),
-                            "--deterministic", "--seed", "9"])
+                            "--seed", "9"])
             assert code == EXIT_OK
         for name in ("trace_chain0.csv", "trace_chain1.csv", "checkpoint.json"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
@@ -323,17 +411,7 @@ class TestDiagCommand:
 
 class TestBaselineCommand:
     def _doc(self, **section):
-        base = {"activation": "relu", "epochs": 5, "batch_size": 16,
-                "learning_rate": 1e-2, "dropout": False}
-        base.update(section)
-        return {
-            "dataset": {"kind": "synth-blobs", "n": 80, "d": 2, "classes": 2,
-                        "irrelevant_fraction": 0.0, "separation": 8.0,
-                        "seed": 5, "split": [0.75, 0.25], "split_seed": 1},
-            "network": {"preset": "mlp", "hidden": [4]},
-            "baseline": base,
-            "seed": 2,
-        }
+        return _baseline_doc(**section)
 
     def test_smoke_and_eval_round_trip(self, tmp_path):
         cfg = _write(tmp_path / "b.json", self._doc())
