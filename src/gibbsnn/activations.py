@@ -131,11 +131,6 @@ def mmelu_grads(x, p: ActivationParams):
     return d_x, d_c, d_gamma, d_b
 
 
-def _mmelu_grad(x, p):
-    d_x, d_c, d_gamma, d_b = mmelu_grads(x, p)
-    return d_x, {"c": d_c, "gamma": d_gamma, "b": d_b}
-
-
 def _mmelu_vjp(x, g, p, param_grads):
     # g * d/dx of the blend, bit-equal to g * mmelu_grads(x, p)[0] for c in
     # [0, 1], plus with param_grads the sums of g * d/dc, d/dgamma and d/db
@@ -324,11 +319,10 @@ def _fixed(name):
     return fn, lambda x: (dfn(x), {}), {}
 
 
-# name -> (value(x, **params), grads(x, **params) -> (d/dx, {param: d/dparam}),
-# default params); mmelu's entry takes the triple as keywords
+# name -> (value(x, **params), grads(x, **params) -> (d/dx, {param: d/dparam})
+# or None where activation_grads has a fused kernel, default params)
 _REGISTRY = {
-    "mmelu": (lambda x, **p: mmelu(x, ActivationParams(**p)),
-              lambda x, **p: _mmelu_grad(x, ActivationParams(**p)),
+    "mmelu": (lambda x, **p: mmelu(x, ActivationParams(**p)), None,
               ActivationParams().as_dict()),
     **{name: _fixed(name) for name in ("relu", "lrelu", "elu", "selu", "swish")},
     "elish": (_elish, _elish_grad, {}),
@@ -410,13 +404,14 @@ def activation_grads(name: str, params, x, g, param_grads: bool = True):
     g * d/dparam}), or (g * d/dx, None) without param_grads.
 
     Scalar parameters get floats; vector parameters arrays of shape
-    (len(param),).  The blend with ActivationParams takes the fused kernel;
-    every other case goes through the registry's elementwise derivatives.
+    (len(param),).  The blend (ActivationParams or its dict) takes the fused
+    kernel, every other activation the registry's elementwise derivatives.
     """
     x = np.asarray(x, dtype=np.float64)
     g = np.asarray(g, dtype=np.float64)
-    if name == "mmelu" and isinstance(params, ActivationParams):
-        return _mmelu_vjp(x, g, params, param_grads)
+    if name == "mmelu":
+        p = params if isinstance(params, ActivationParams) else ActivationParams(**params)
+        return _mmelu_vjp(x, g, p, param_grads)
     d_x, d_params = _entry(name)[1](x, **params)
     if not param_grads:
         return g * d_x, None

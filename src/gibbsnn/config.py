@@ -192,16 +192,18 @@ def validate_network(doc, path="config.network") -> dict:
 def build_network(doc, activation, train=None):
     """Build (Network, dropout-map) from the network section.
 
-    input_shape and class_count fall back to the training set's shape and
-    class count when omitted.  preset 'mlp' takes hidden layer widths.
+    input_shape and class_count default to the training set's shape and
+    class count, and must match them.  preset 'mlp' takes hidden layer widths.
     """
     input_shape = doc.get("input_shape")
     classes = doc.get("class_count")
     if train is not None:
-        if input_shape is None:
-            input_shape = list(train.inputs.shape[1:])
-        if classes is None:
-            classes = train.class_count
+        input_shape = list(train.inputs.shape[1:])
+        classes = train.class_count or classes
+        for key, found in (("input_shape", input_shape), ("class_count", classes)):
+            if doc.get(key) not in (None, found):
+                raise ConfigError(f"config.network.{key}: {doc[key]} does not match "
+                                  f"the dataset's {found}")
     if input_shape is None or classes is None:
         raise ConfigError("config.network: input_shape and class_count are "
                           "required without a dataset to infer them from")

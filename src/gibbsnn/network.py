@@ -16,8 +16,12 @@ Conventions
   cell.  A recording pass keeps each window's winning cell as two bool
   arrays (bottom row, right column); backward copies the gradient into
   those cells of a zeroed input, with no index arrays or transposed copies.
-* Backward stops at the first weighted layer: the gradient with respect to
-  the network input is never computed.
+* Network compiles its spec once into a layer table, one entry per layer.
+  Each kind's compile function checks the input shape and gives the output
+  shape, the (kernel, bias) shapes of a weighted layer, and a forward that
+  returns the layer's backward when recording.  forward, loss and backward
+  walk the table; backward stops at the first weighted layer, so the
+  gradient with respect to the network input is never computed.
 * Per-layer weights live in flat vectors (kernel then bias); the list of
   those vectors is the weight set W^1..W^L referenced by the priors.
 * Gradients at activation kinks and pooling ties follow the conventions of
@@ -26,6 +30,7 @@ Conventions
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,12 +125,6 @@ def split_weights(vec: np.ndarray, lengths: list) -> list:
     return out
 
 
-def _softmax(z):
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 _LOG_FLOOR = 1e-300  # keeps log/div finite when softmax underflows to 0
 LOSS_KINDS = ("cross-entropy", "squared-error")
 
@@ -151,8 +150,8 @@ def output_loss(out, targets, loss_kind: str, average: bool = False,
 
 
 class Network:
-    """A compiled NetworkSpec: validated shapes, weight layout, forward and
-    backward passes.
+    """A compiled NetworkSpec: validated shapes, weight layout, and a layer
+    table that the forward and backward passes walk.
 
     All activation layers in one network must reference the same registered
     name, and the one parameter set passed to forward/backward is shared by
@@ -161,166 +160,98 @@ class Network:
 
     def __init__(self, spec: NetworkSpec):
         self.spec = spec
-        self.weight_lengths = []  # K_l per weighted layer
         self.weight_shapes = []  # (kernel shape, bias shape) per weighted layer
-        self.kernel_sizes = []  # kernel entries per weighted layer (bias follows)
         self.layer_shapes = []  # output shape per layer (sample-local, no batch dim)
-        self.activation_name = None
+        self._table = []  # (kind, weight set index or None, forward) per layer
+        self.activation_name = next(
+            (l.activation for l in spec.layers if l.kind == "activation"), None)
 
         shape = tuple(spec.input_shape)
         for i, layer in enumerate(spec.layers):
             where = f"layer {i} ({layer.kind})"
-            if layer.kind == "dense":
-                n_in, n_out = layer.dims
-                if shape != (n_in,):
-                    raise ShapeError(f"{where}: expected input ({n_in},), got {shape}")
-                self.weight_shapes.append(((n_in, n_out), (n_out,)))
-                self.kernel_sizes.append(n_in * n_out)
-                self.weight_lengths.append(n_in * n_out + n_out)
-                shape = (n_out,)
-            elif layer.kind == "conv2d":
-                out_c, in_c = layer.dims[0], layer.dims[1]
-                if len(shape) != 3 or shape[2] != in_c:
-                    raise ShapeError(f"{where}: expected input (H, W, {in_c}), got {shape}")
-                self.weight_shapes.append(((out_c, in_c, KERNEL, KERNEL), (out_c,)))
-                self.kernel_sizes.append(out_c * in_c * KERNEL * KERNEL)
-                self.weight_lengths.append(out_c * in_c * KERNEL * KERNEL + out_c)
-                shape = (shape[0], shape[1], out_c)
-            elif layer.kind == "maxpool2x2":
-                if len(shape) != 3 or shape[0] < 2 or shape[1] < 2:
-                    raise ShapeError(f"{where}: needs (H>=2, W>=2, C), got {shape}")
-                shape = (shape[0] // 2, shape[1] // 2, shape[2])
-            elif layer.kind == "flatten":
-                shape = (int(np.prod(shape)),)
-            elif layer.kind == "activation":
-                if layer.activation is None:
-                    raise ShapeError(f"{where}: missing activation name")
-                if self.activation_name is None:
-                    self.activation_name = layer.activation
-                elif self.activation_name != layer.activation:
-                    raise ShapeError(f"{where}: mixed activation names are not supported")
-            elif layer.kind == "softmax":
-                if i != len(spec.layers) - 1:
-                    raise ShapeError(f"{where}: softmax must be the final layer")
-                if len(shape) != 1 or shape[0] != spec.class_count:
-                    raise ShapeError(
-                        f"{where}: expected ({spec.class_count},) logits, got {shape}"
-                    )
-            else:
+            if layer.kind not in _KINDS:
                 raise ShapeError(f"{where}: unknown layer kind")
+            shape, weights, forward = _KINDS[layer.kind](layer, shape, where, i, self)
+            index = None if weights is None else len(self.weight_shapes)
+            if weights is not None:
+                self.weight_shapes.append(weights)
+            self._table.append((layer.kind, index, forward))
             self.layer_shapes.append(shape)
         # no caller reads the input gradient, so backward stops at the first
         # weighted layer and skips its input gradient; with param_grads it
         # runs on to layer 0 when an activation below that layer has
         # parameters (indexed by param_grads)
-        first = next((i for i, l in enumerate(spec.layers) if l.kind in ("dense", "conv2d")), 0)
+        first = next((i for i, (_, index, _) in enumerate(self._table) if index is not None), 0)
         below = any(l.kind == "activation" for l in spec.layers[:first])
         self._backward_stop = (first, 0 if below else first)
+        self.weight_lengths = [math.prod(k) + math.prod(b) for k, b in self.weight_shapes]  # K_l
         self.n_weights = int(sum(self.weight_lengths))
         self.n_layers = len(self.weight_lengths)  # L in the prior
 
     # -- weights ----------------------------------------------------------
 
-    def init_weights(self, rng: np.random.Generator, scale: float | None = None) -> list:
+    def init_weights(self, rng: np.random.Generator) -> list:
         """He-style init: kernel entries N(0, 2/fan_in), biases 0."""
         out = []
         for (kshape, bshape) in self.weight_shapes:
             fan_in = kshape[0] if len(kshape) == 2 else int(np.prod(kshape[1:]))
-            std = np.sqrt(2.0 / fan_in) if scale is None else scale
-            kernel = rng.normal(0.0, std, size=kshape)
+            kernel = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=kshape)
             out.append(np.concatenate([kernel.ravel(), np.zeros(bshape)]))
         return out
-
-    def _unpack(self, flat: np.ndarray, idx: int):
-        nk = self.kernel_sizes[idx]
-        return flat[:nk].reshape(self.weight_shapes[idx][0]), flat[nk:]
 
     def targets(self, y) -> np.ndarray:
         """Float targets for a batch of labels: integer class labels become
         one-hot rows; other labels must already match the output shape."""
-        y = np.asarray(y)
         return _prepare_targets(y, len(y), self.layer_shapes[-1], False)
+
+    def _batch(self, x, y=None):
+        # (x with a batch axis, float targets or None, whether x was one sample)
+        x = np.asarray(x, dtype=np.float64)
+        input_shape = tuple(self.spec.input_shape)
+        single = x.shape == input_shape
+        h = x[None] if single else x
+        if h.shape[1:] != input_shape:
+            raise ShapeError(f"input shape {x.shape} does not match spec {input_shape}")
+        if y is not None:
+            y = _prepare_targets(y, h.shape[0], self.layer_shapes[-1], single)
+        return h, y, single
 
     # -- forward ----------------------------------------------------------
 
     def forward(self, w: list, act_params, x: np.ndarray) -> np.ndarray:
         """Evaluate the network; accepts one sample or a batch."""
-        x = np.asarray(x, dtype=np.float64)
-        single = x.shape == tuple(self.spec.input_shape)
-        h = x[None] if single else x
-        if h.shape[1:] != tuple(self.spec.input_shape):
-            raise ShapeError(
-                f"input shape {x.shape} does not match spec {tuple(self.spec.input_shape)}"
-            )
+        h, _, single = self._batch(x)
         h, _ = self._run(w, act_params, h, record=False)
         return h[0] if single else h
-
-    def _batch(self, x, y):
-        # (inputs with a batch axis, float targets) for loss and backward
-        x = np.asarray(x, dtype=np.float64)
-        single = x.shape == tuple(self.spec.input_shape)
-        h = x[None] if single else x
-        return h, _prepare_targets(y, h.shape[0], self.layer_shapes[-1], single)
 
     def loss(self, w, act_params, x, y, loss_kind: str = "cross-entropy",
              average: bool = False) -> float:
         """Batch loss only, no gradient bookkeeping."""
-        h, yb = self._batch(x, y)
+        h, yb, _ = self._batch(x, y)
         out, _ = self._run(w, act_params, h, record=False)
         return output_loss(out, yb, loss_kind, average)[0]
 
     def _run(self, w, act_params, h, record: bool, dropout: dict | None = None):
-        # dropout maps layer index -> multiplicative mask applied to that
-        # layer's output (mask carries its own 1/keep scaling); training-only
-        caches = []
-        wi = 0
-        for i, layer in enumerate(self.spec.layers):
-            if layer.kind == "dense":
-                W, b = self._unpack(w[wi], wi)
-                caches.append(h if record else None)
-                h = h @ W + b
-                wi += 1
-            elif layer.kind == "conv2d":
-                W, b = self._unpack(w[wi], wi)
-                xp = np.pad(h, ((0, 0), (1, 1), (1, 1), (0, 0)))
-                caches.append(xp if record else None)
-                h = _conv_forward(xp, W, b)
-                wi += 1
-            elif layer.kind == "maxpool2x2":
-                inshape = h.shape
-                h, route = _maxpool_forward(h, record)
-                caches.append((route, inshape) if record else None)
-            elif layer.kind == "flatten":
-                caches.append(h.shape if record else None)
-                h = h.reshape(h.shape[0], -1)
-            elif layer.kind == "activation":
-                caches.append(h if record else None)
-                h = activation_value(layer.activation, act_params, h)
-            elif layer.kind == "softmax":
-                h = _softmax(h)
-                caches.append(h if record else None)
+        # (output, each layer's backward when recording); dropout maps layer
+        # index -> mask applied to that layer's output (scaled by 1/keep)
+        backwards = []
+        for i, (kind, index, forward) in enumerate(self._table):
+            h, backward = forward(h, None if index is None else w[index], act_params, record)
+            backwards.append(backward)
             if dropout is not None and i in dropout:
                 h = h * dropout[i]
             if not np.isfinite(h).all():
                 bad = h[~np.isfinite(h)]
                 raise NumericalError(
-                    f"non-finite value {float(bad.flat[0])} after layer {i} ({layer.kind})"
+                    f"non-finite value {float(bad.flat[0])} after layer {i} ({kind})"
                 )
-        return h, caches
+        return h, backwards
 
     # -- backward ---------------------------------------------------------
 
-    def backward(
-        self,
-        w: list,
-        act_params,
-        x: np.ndarray,
-        y: np.ndarray,
-        loss_kind: str = "cross-entropy",
-        average: bool = False,
-        dropout: dict | None = None,
-        param_grads: bool = True,
-    ):
+    def backward(self, w: list, act_params, x: np.ndarray, y: np.ndarray,
+                 loss_kind: str = "cross-entropy", average: bool = False,
+                 dropout: dict | None = None, param_grads: bool = True):
         """Loss and gradients of the whole batch.
 
         Returns (grad_w, grad_act, loss) where grad_w mirrors the weight
@@ -334,56 +265,131 @@ class Network:
         param_grads=False it forms no parameter sums and grad_act is None;
         grad_w and loss are bitwise the same as with the full pass.
         """
-        h, yb = self._batch(x, y)
-        out, caches = self._run(w, act_params, h, record=True, dropout=dropout)
+        h, yb, _ = self._batch(x, y)
+        out, backwards = self._run(w, act_params, h, record=True, dropout=dropout)
         loss, g = output_loss(out, yb, loss_kind, average, grad=True)
 
         grad_w = [np.zeros_like(wi) for wi in w]
         grad_act = {} if param_grads else None
-
-        layers = self.spec.layers
         stop = self._backward_stop[bool(param_grads)]
-        wi = len(w)
-        for i in range(len(layers) - 1, stop - 1, -1):
-            layer = layers[i]
-            cache = caches[i]
+        for i in range(len(self._table) - 1, stop - 1, -1):
+            kind, index, _ = self._table[i]
             if dropout is not None and i in dropout:
                 g = g * dropout[i]
-            if layer.kind == "dense":
-                wi -= 1
-                W, _ = self._unpack(w[wi], wi)
-                h_in = cache
-                gW = h_in.reshape(-1, W.shape[0]).T @ g.reshape(-1, W.shape[1])
-                gb = g.sum(axis=0)
-                grad_w[wi] = np.concatenate([gW.ravel(), gb])
-                if i > stop:
-                    g = g @ W.T
-            elif layer.kind == "conv2d":
-                wi -= 1
-                W, _ = self._unpack(w[wi], wi)
-                if i > stop:
-                    gW, gb, g = _conv_backward(cache, W, g)
-                else:
-                    gW, gb, _ = _conv_backward(cache, W, g, input_grad=False)
-                grad_w[wi] = np.concatenate([gW.ravel(), gb])
-            elif layer.kind == "maxpool2x2":
-                g = _maxpool_backward(g, *cache)
-            elif layer.kind == "flatten":
-                g = g.reshape(cache)
-            elif layer.kind == "activation":
-                g, d_params = activation_grads(layer.activation, act_params, cache, g,
-                                               param_grads)
-                for name, d in (d_params or {}).items():
+            g, grad = backwards[i](g, i > stop, param_grads)
+            if index is not None:
+                grad_w[index] = grad
+            elif grad:
+                for name, d in grad.items():
                     grad_act[name] = grad_act.get(name, 0.0) + d
-            elif layer.kind == "softmax":
-                p = cache
-                g = p * (g - np.sum(g * p, axis=-1, keepdims=True))
             if not np.isfinite(g).all():
                 bad = g[~np.isfinite(g)]
                 raise NumericalError(
-                    f"non-finite gradient {float(bad.flat[0])} at layer {i} ({layer.kind})"
+                    f"non-finite gradient {float(bad.flat[0])} at layer {i} ({kind})"
                 )
         return grad_w, grad_act, loss
+
+
+# -- the layer kinds -----------------------------------------------------------
+# compile(layer, input shape, "layer i (kind)", i, network being built) ->
+# (output shape, (kernel shape, bias shape) or None, forward), or ShapeError;
+# forward(h, flat weights, act_params, record) -> (output, backward or None);
+# backward(g, input_grad, param_grads) -> (input gradient, flat weight
+# gradient or activation parameter sums or None).  A backward holds only what
+# it reads (a pool's route, never its input); a weighted layer told
+# input_grad=False passes g on unchanged.
+
+
+def _dense(layer, shape, where, *_):
+    n_in, n_out = layer.dims
+    if shape != (n_in,):
+        raise ShapeError(f"{where}: expected input ({n_in},), got {shape}")
+    nk = n_in * n_out
+
+    def forward(h, flat, act_params, record):
+        W = flat[:nk].reshape(n_in, n_out)
+        def backward(g, input_grad, param_grads):
+            gW = h.reshape(-1, n_in).T @ g.reshape(-1, n_out)
+            return (g @ W.T if input_grad else g), np.concatenate([gW.ravel(), g.sum(axis=0)])
+        return h @ W + flat[nk:], (backward if record else None)
+
+    return (n_out,), ((n_in, n_out), (n_out,)), forward
+
+
+def _conv2d(layer, shape, where, *_):
+    out_c, in_c = layer.dims[0], layer.dims[1]
+    if len(shape) != 3 or shape[2] != in_c:
+        raise ShapeError(f"{where}: expected input (H, W, {in_c}), got {shape}")
+    kshape = (out_c, in_c, KERNEL, KERNEL)
+    nk = math.prod(kshape)
+
+    def forward(h, flat, act_params, record):
+        W = flat[:nk].reshape(kshape)
+        xp = np.pad(h, ((0, 0), (1, 1), (1, 1), (0, 0)))
+        def backward(g, input_grad, param_grads):
+            gW, gb, gx = _conv_backward(xp, W, g, input_grad=input_grad)
+            return (gx if input_grad else g), np.concatenate([gW.ravel(), gb])
+        return _conv_forward(xp, W, flat[nk:]), (backward if record else None)
+
+    return (shape[0], shape[1], out_c), (kshape, (out_c,)), forward
+
+
+def _maxpool2x2(layer, shape, where, *_):
+    if len(shape) != 3 or shape[0] < 2 or shape[1] < 2:
+        raise ShapeError(f"{where}: needs (H>=2, W>=2, C), got {shape}")
+
+    def forward(h, flat, act_params, record):
+        out, route = _maxpool_forward(h, record)
+        def backward(g, input_grad, param_grads):
+            return _maxpool_backward(g, route, (len(g),) + shape), None
+        return out, (backward if record else None)
+
+    return (shape[0] // 2, shape[1] // 2, shape[2]), None, forward
+
+
+def _flatten(layer, shape, *_):
+    def forward(h, flat, act_params, record):
+        def backward(g, input_grad, param_grads):
+            return g.reshape((len(g),) + shape), None
+        return h.reshape(len(h), -1), (backward if record else None)
+
+    return (int(np.prod(shape)),), None, forward
+
+
+def _activation(layer, shape, where, i, net):
+    # activation_value and activation_grads are looked up when called
+    name = layer.activation
+    if name is None:
+        raise ShapeError(f"{where}: missing activation name")
+    if name != net.activation_name:
+        raise ShapeError(f"{where}: mixed activation names are not supported")
+
+    def forward(h, flat, act_params, record):
+        def backward(g, input_grad, param_grads):
+            return activation_grads(name, act_params, h, g, param_grads)
+        return activation_value(name, act_params, h), (backward if record else None)
+
+    return shape, None, forward
+
+
+def _softmax_output(layer, shape, where, i, net):
+    if i != len(net.spec.layers) - 1:
+        raise ShapeError(f"{where}: softmax must be the final layer")
+    if len(shape) != 1 or shape[0] != net.spec.class_count:
+        raise ShapeError(f"{where}: expected ({net.spec.class_count},) logits, got {shape}")
+
+    def forward(h, flat, act_params, record):
+        e = np.exp(h - h.max(axis=-1, keepdims=True))
+        p = e / e.sum(axis=-1, keepdims=True)
+        def backward(g, input_grad, param_grads):
+            return p * (g - np.sum(g * p, axis=-1, keepdims=True)), None
+        return p, (backward if record else None)
+
+    return shape, None, forward
+
+
+_KINDS = {"dense": _dense, "conv2d": _conv2d, "maxpool2x2": _maxpool2x2,
+          "flatten": _flatten, "activation": _activation, "softmax": _softmax_output}
 
 
 def _prepare_targets(y, n, out_shape, single):
@@ -391,10 +397,7 @@ def _prepare_targets(y, n, out_shape, single):
     if single and y.ndim <= 1 and y.shape != (n,):
         y = y[None] if y.ndim == 1 else y.reshape(1)
     if y.ndim == 1 and np.issubdtype(y.dtype, np.integer):
-        k = out_shape[0]
-        onehot = np.zeros((len(y), k))
-        onehot[np.arange(len(y)), y] = 1.0
-        y = onehot
+        y = np.eye(out_shape[0])[y]  # one-hot rows
     y = y.astype(np.float64, copy=False)
     if y.shape != (n,) + tuple(out_shape):
         raise ShapeError(f"targets shaped {y.shape}, expected {(n,) + tuple(out_shape)}")

@@ -415,15 +415,14 @@ def gibbs_sweep(model: BayesModel, chain: ChainState, cfg: SamplerConfig,
 
 
 def run_chain(model: BayesModel, cfg: SamplerConfig, rng: np.random.Generator,
-              chain_id: int = 0, init: ModelState | None = None,
-              callback=None) -> ChainTrace:
+              chain_id: int = 0, callback=None) -> ChainTrace:
     """Drive one chain for cfg.n_sweeps sweeps and return its trace.
 
     callback(sweep, chain) runs after every sweep (metrics hooks); it must
     not touch chain.rng or the trajectory changes.
     """
     cfg.validate()
-    st = init.copy() if init is not None else init_state(model.net, rng)
+    st = init_state(model.net, rng)
     chain = ChainState(model=st, rng=rng, step_size=cfg.step_size)
     keep_hist = model.net.n_weights <= W_HISTORY_LIMIT
     trace = ChainTrace(chain_id, model.net.n_layers, model.net.n_weights, keep_hist)
@@ -448,8 +447,7 @@ def run_chain(model: BayesModel, cfg: SamplerConfig, rng: np.random.Generator,
     return trace.finalize()
 
 
-def run_chains(model: BayesModel, cfg: SamplerConfig, seed: int,
-               init: ModelState | None = None, callback=None) -> list:
+def run_chains(model: BayesModel, cfg: SamplerConfig, seed: int, callback=None) -> list:
     """Independent chains from one seed: per-chain RNG streams are spawned
     from a root SeedSequence so chain k is reproducible in isolation."""
     cfg.validate()
@@ -458,7 +456,7 @@ def run_chains(model: BayesModel, cfg: SamplerConfig, seed: int,
     for k, child in enumerate(root.spawn(cfg.n_chains)):
         rng = np.random.Generator(np.random.PCG64(child))
         cb = (lambda sweep, chain, k=k: callback(k, sweep, chain)) if callback else None
-        traces.append(run_chain(model, cfg, rng, chain_id=k, init=init, callback=cb))
+        traces.append(run_chain(model, cfg, rng, chain_id=k, callback=cb))
     return traces
 
 

@@ -280,8 +280,8 @@ class TestZooGradients:
                                        err_msg=f"sum of g * d/d{pname} for {name}")
 
     def test_all_registered_gradients(self):
-        """Every registry entry through the elementwise fallback (mmelu's
-        dict parameters included), and the blend's fused kernel."""
+        """Every registry entry, the blend's fused kernel taking both its
+        dict parameters and ActivationParams."""
         for name in registered_names():
             self._check(name, default_params(name))
         p = ActivationParams(c=0.47, gamma=0.3, b=1.2)

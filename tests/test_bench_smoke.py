@@ -46,3 +46,32 @@ def test_trace_hooks_install(kind, monkeypatch):
     tracer.remove()
     for (owner, name), orig in originals.items():
         assert getattr(owner, name) is orig
+
+
+def test_activation_hooks_reach_every_layer(monkeypatch):
+    """The tracer replaces gibbsnn.network.activation_value and
+    activation_grads after networks exist, so a compiled network must look
+    them up when called: one forward and one backward then reach a wrapper
+    once per activation layer."""
+    import numpy as np
+
+    import gibbsnn.network as network
+    from gibbsnn.activations import ActivationParams
+    from gibbsnn.presets import cnn1
+
+    spec, _ = cnn1()
+    net = network.Network(spec)
+    w = net.init_weights(np.random.default_rng(0))
+    x = np.random.default_rng(1).random((2, 28, 28, 1))
+    calls = {"activation_value": 0, "activation_grads": 0}
+    for name in calls:
+        def counted(*args, _orig=getattr(network, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(network, name, counted)
+
+    n_act = sum(layer.kind == "activation" for layer in spec.layers)
+    net.forward(w, ActivationParams(), x)
+    assert calls == {"activation_value": n_act, "activation_grads": 0}
+    net.backward(w, ActivationParams(), x, np.array([3, 7]))
+    assert calls == {"activation_value": 2 * n_act, "activation_grads": n_act}

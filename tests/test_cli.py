@@ -242,6 +242,23 @@ class TestConfigSections:
         assert err.startswith(f"configuration error: config.{section}.{key}: "), err
         assert not (out / "run.json").exists()
 
+    @pytest.mark.parametrize("command", ["train", "baseline"])
+    @pytest.mark.parametrize("key, value", [("input_shape", [5]), ("class_count", 2)])
+    def test_network_not_matching_dataset_writes_nothing(self, tmp_path, capsys,
+                                                         command, key, value):
+        """A network section that disagrees with its 3-class, 4-feature
+        dataset is a configuration error, raised before run.json exists."""
+        doc = _train_doc() if command == "train" else _baseline_doc()
+        doc["dataset"].update(classes=3, d=4)
+        doc["network"][key] = value
+        cfg = _write(tmp_path / "c.json", doc)
+        out = tmp_path / "out"
+        code, _ = _run([command, "--config", cfg, "--out", str(out)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: config.network.{key}: "), err
+        assert not (out / "run.json").exists()
+
     def test_test_only_switches_are_not_keys(self, tmp_path, capsys):
         cfg = _write(tmp_path / "t.json", _train_doc(update_weights=False))
         code, _ = _run(["train", "--config", cfg, "--out", str(tmp_path / "o")])

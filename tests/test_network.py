@@ -15,6 +15,7 @@ import gibbsnn.network as network_module
 from gibbsnn.activations import ActivationParams, default_params, mmelu, registered_names
 from gibbsnn.errors import NumericalError, ShapeError
 from gibbsnn.network import (
+    LayerSpec,
     Network,
     NetworkSpec,
     act,
@@ -85,9 +86,41 @@ class TestForward:
         with pytest.raises(ShapeError):
             net.forward(w, ActivationParams(), np.ones(7))
 
-    def test_bad_layer_composition_rejected(self):
-        with pytest.raises(ShapeError):
-            Network(NetworkSpec([dense(3, 2), dense(3, 2), softmax_layer()], (3,), 2))
+    @pytest.mark.parametrize("layers, input_shape, message", [
+        ([dense(3, 2), LayerSpec("batchnorm")], (3,),
+         "layer 1 (batchnorm): unknown layer kind"),
+        ([dense(3, 2), LayerSpec("activation")], (3,),
+         "layer 1 (activation): missing activation name"),
+        ([dense(3, 4), act("relu"), dense(4, 2), act("elu")], (3,),
+         "layer 3 (activation): mixed activation names are not supported"),
+        ([dense(3, 2), softmax_layer(), act("relu")], (3,),
+         "layer 1 (softmax): softmax must be the final layer"),
+        ([dense(3, 4), softmax_layer()], (3,),
+         "layer 1 (softmax): expected (2,) logits, got (4,)"),
+        ([maxpool()], (1, 4, 3),
+         "layer 0 (maxpool2x2): needs (H>=2, W>=2, C), got (1, 4, 3)"),
+        ([conv2d(4, 2)], (5, 5, 3),
+         "layer 0 (conv2d): expected input (H, W, 2), got (5, 5, 3)"),
+        ([dense(3, 2), dense(3, 2), softmax_layer()], (3,),
+         "layer 1 (dense): expected input (3,), got (2,)"),
+    ], ids=["unknown-kind", "missing-activation", "mixed-activations", "softmax-not-last",
+            "logit-count", "pool-too-small", "conv-channels", "dense-mismatch"])
+    def test_bad_layer_composition_rejected(self, layers, input_shape, message):
+        """Every ShapeError of construction names its layer and kind."""
+        with pytest.raises(ShapeError) as err:
+            Network(NetworkSpec(layers, input_shape, 2))
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("method", ["loss", "backward"])
+    def test_loss_and_backward_check_input_shape(self, method):
+        """loss and backward refuse inputs of the wrong shape, as forward does,
+        instead of running the convolutions on them."""
+        net = Network(cnn1()[0])
+        w = net.init_weights(np.random.default_rng(0))
+        x = np.ones((2, 30, 30, 1))
+        with pytest.raises(ShapeError) as err:
+            getattr(net, method)(w, ActivationParams(), x, np.array([0, 1]))
+        assert str(err.value) == "input shape (2, 30, 30, 1) does not match spec (28, 28, 1)"
 
     def test_nonfinite_detection(self):
         net = _dense_net(2, 2)
