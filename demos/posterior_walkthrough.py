@@ -46,8 +46,7 @@ def main():
             print(f"  {row['parameter']:>6}: mean {row['mean']:8.4f}  "
                   f"std {row['std']:7.4f}  rhat {row['rhat']:.3f}")
 
-    post = estimate(traces, cfg.burn_in, lengths=net.weight_lengths)
-    st = post.state()
+    st = estimate(traces)
     m = evaluate(net, st.w, st.act, te, "squared-error")
     nz, total = near_zero(st.w)
     print(f"\nposterior mean on test: accuracy {m.accuracy:.3f}, "

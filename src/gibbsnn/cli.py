@@ -118,8 +118,7 @@ def cmd_train(args) -> int:
         xs = sorted({r["iteration"] for r in metrics_rows})
         _metric_curves(xs, [r for r in metrics_rows if r["chain"] == 0], "over sweeps", out)
 
-    post = estimate(traces, scfg.burn_in, lengths=net.weight_lengths)
-    mean_state = post.state()
+    mean_state = estimate(traces)
     provenance = {"config_sha256": ckpt.config_hash(doc), "seed": seed,
                   "version": __version__}
     ckpt.save_checkpoint(

@@ -125,7 +125,9 @@ def load_cifar10(batch_paths) -> Dataset:
 
 def load_csv(path, label_column: str = "label") -> Dataset:
     """Headered CSV with one named label column, all other columns numeric
-    features.  Non-numeric labels become class ids in sorted-name order."""
+    features.  Non-numeric labels become class ids in sorted-name order;
+    integer labels are class ids as they stand, so they must be >= 0 and
+    the class count is the largest plus one."""
     with open(path, newline="") as fh:
         rd = csv.reader(fh)
         try:
@@ -165,9 +167,11 @@ def load_csv(path, label_column: str = "label") -> Dataset:
     meta = {"source": str(path), "format": "csv",
             "feature_names": [h for h in header if h != label_column]}
     if classes is not None:
+        if y.min() < 0:
+            raise FormatError(f"{path}: negative class label {int(y.min())}")
         meta["classes"] = classes
     return Dataset(np.asarray(feats), y,
-                   class_count=len(classes) if classes is not None else None,
+                   class_count=int(y.max()) + 1 if classes is not None else None,
                    metadata=meta)
 
 

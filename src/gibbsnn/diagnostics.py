@@ -154,7 +154,7 @@ def load_trace(path) -> ChainTrace:
         raise FormatError(f"{path}: no trace rows")
     header = rows[0]
     n_layers = sum(1 for h in header if h.startswith("lambda_") and h != "lambda_b")
-    trace = ChainTrace(0, n_layers, 0, keep_w_history=False)
+    trace = ChainTrace(0, n_layers, 0)
     missing = [h for h in trace.header if h not in header and h not in FLAG_FIELDS]
     if missing:
         raise FormatError(f"{path}: missing trace columns {missing}")

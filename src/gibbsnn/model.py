@@ -81,30 +81,6 @@ def l1_norms(w: list) -> np.ndarray:
     return np.array([float(np.sum(np.abs(wi))) for wi in w])
 
 
-def cond_ig_params_lambda_l(layer: int, w: list, fixed: FixedHypers):
-    """IG(delta + K_l, mu + |W_l|_1), exact conditional of the layer's
-    Laplace scale."""
-    return fixed.delta + w[layer].size, fixed.mu + float(np.sum(np.abs(w[layer])))
-
-
-def cond_ig_params_lambda_b(b: float, fixed: FixedHypers):
-    """IG(delta + 1, mu + b), exact conditional of the exponential scale."""
-    if b < ACT_BOUNDS["b"][0]:
-        raise ValueError(f"b must be non-negative, got {b}")
-    return fixed.delta + 1.0, fixed.mu + b
-
-
-def cond_ig_params_sigma2(gamma: float, fixed: FixedHypers):
-    """IG(delta + 1/2, mu + gamma^2/2), exact conditional of the prior
-    variance of the hat center; the 1/2s come from the Gaussian's
-    (sigma2)^(-1/2) normalization and squared exponent; the scale is
-    infinite where gamma^2 overflows."""
-    try:
-        return fixed.delta + 0.5, fixed.mu + gamma**2 / 2.0
-    except OverflowError:
-        return fixed.delta + 0.5, math.inf
-
-
 class BayesModel:
     """Posterior evaluator bound to a network and a training set."""
 
@@ -258,14 +234,24 @@ class BayesModel:
             lambda_b | b   ~ IG(delta + 1,   mu + b)
             sigma2  | gamma ~ IG(delta + 1/2, mu + gamma^2 / 2)
         """
+        fixed = self.fixed
         if block == "lambda_l":
             if layer is None:
                 raise ValueError("lambda_l conditional needs a layer index")
-            return cond_ig_params_lambda_l(layer, state.w, self.fixed)
+            w = state.w[layer]
+            return fixed.delta + w.size, fixed.mu + float(np.sum(np.abs(w)))
         if block == "lambda_b":
-            return cond_ig_params_lambda_b(state.act.b, self.fixed)
+            b = state.act.b
+            if b < ACT_BOUNDS["b"][0]:
+                raise ValueError(f"b must be non-negative, got {b}")
+            return fixed.delta + 1.0, fixed.mu + b
         if block == "sigma2":
-            return cond_ig_params_sigma2(state.act.gamma, self.fixed)
+            # the 1/2s come from the Gaussian's (sigma2)^(-1/2) normalization
+            # and squared exponent; the scale is infinite where gamma^2 overflows
+            try:
+                return fixed.delta + 0.5, fixed.mu + state.act.gamma**2 / 2.0
+            except OverflowError:
+                return fixed.delta + 0.5, math.inf
         raise ValueError(f"no inverse-gamma conditional for block {block!r}")
 
 

@@ -251,8 +251,7 @@ class ChainTrace:
     """One chain's record: a row per recorded sweep under `header`, the
     trace CSV's columns, plus post-burn-in weight accumulators."""
 
-    def __init__(self, chain_id: int, n_layers: int, n_weights: int,
-                 keep_w_history: bool):
+    def __init__(self, chain_id: int, n_layers: int, n_weights: int):
         self.chain_id = chain_id
         self.header = (["iteration", *ACT_BOUNDS, "sigma2", "lambda_b"]
                        + [f"lambda_{i + 1}" for i in range(n_layers)]
@@ -261,7 +260,7 @@ class ChainTrace:
         # post-burn-in weight accumulators (running mean over the flat vector)
         self.w_count = 0
         self.w_mean = np.zeros(n_weights)
-        self.w_history = [] if keep_w_history else None
+        self.w_history = [] if n_weights <= W_HISTORY_LIMIT else None
         self.final_state = None
 
     def record(self, it, state: ModelState, energy, log_post, flags: dict):
@@ -424,8 +423,7 @@ def run_chain(model: BayesModel, cfg: SamplerConfig, rng: np.random.Generator,
     cfg.validate()
     st = init_state(model.net, rng)
     chain = ChainState(model=st, rng=rng, step_size=cfg.step_size)
-    keep_hist = model.net.n_weights <= W_HISTORY_LIMIT
-    trace = ChainTrace(chain_id, model.net.n_layers, model.net.n_weights, keep_hist)
+    trace = ChainTrace(chain_id, model.net.n_layers, model.net.n_weights)
 
     for sweep in range(cfg.n_sweeps):
         adapting = cfg.adapt and sweep < cfg.burn_in
@@ -463,68 +461,34 @@ def run_chains(model: BayesModel, cfg: SamplerConfig, seed: int, callback=None) 
 # --- estimators --------------------------------------------------------------
 
 
-@dataclass
-class PosteriorSummary:
-    """Posterior means/stds per trace column; state() rebuilds the mean point."""
+def estimate(traces) -> ModelState:
+    """Pool the chains' post-burn-in draws into the MMSE point estimate.
 
-    means: dict
-    stds: dict
-    w_mean: list
-    n_samples: int
-
-    def state(self) -> ModelState:
-        m = self.means
-        lam = [v for k, v in m.items() if k.startswith("lambda_") and k != "lambda_b"]
-        return ModelState([w.copy() for w in self.w_mean],
-                          ActivationParams(**{name: m[name] for name in ACT_BOUNDS}),
-                          HyperState(lam=np.array(lam), lam_b=m["lambda_b"], sigma2=m["sigma2"]))
-
-
-def estimate(traces, burn_in: int, lengths=None) -> PosteriorSummary:
-    """Pool post-burn-in draws across chains into MMSE point estimates.
-
-    traces: one ChainTrace or a list of them.  burn_in is an iteration
-    cutoff (rows with iteration >= burn_in enter the estimate).  lengths
-    optionally splits the flat weight mean back into per-layer vectors.
-
-    Weight draws are only retained from the run's own burn-in onward, so
-    the weight window is the intersection of the two cutoffs: with full
-    per-draw history (small nets) the cutoff applies exactly; otherwise
-    the run-time running means are used as-is and burn_in only moves the
-    scalar windows.
+    A chain accumulates its weights from the run's burn-in onward, so its
+    last w_count rows are its post-burn-in window: each parameter column
+    is averaged over those rows of every chain, and the per-chain running
+    weight means are pooled by their counts.  The flat mean is split by
+    the layer sizes of the chains' final weights.
     """
-    if isinstance(traces, ChainTrace):
-        traces = [traces]
     if not traces:
         raise ValueError("need at least one trace")
-    keep = [t.iteration >= burn_in for t in traces]
-    pooled = np.concatenate([t.table[k] for t, k in zip(traces, keep)])
-    if not len(pooled):
-        raise ValueError(
-            f"no post-burn-in samples: burn_in={burn_in}, "
-            f"max iteration={max(int(t.iteration[-1]) for t in traces)}")
+    rows = np.concatenate([t.table[len(t.table) - t.w_count:] for t in traces])
+    if not len(rows):
+        raise ValueError("no post-burn-in samples: no chain recorded a sweep "
+                         "at or after its burn-in")
     header = traces[0].header
-    means, stds = {}, {}
-    for j in range(1, len(header) - len(FLAG_FIELDS)):
-        means[header[j]] = float(np.mean(pooled[:, j]))
-        stds[header[j]] = float(np.std(pooled[:, j]))
 
-    if all(t.w_history is not None for t in traces):
-        # history row i belongs to the i-th accumulated (post run burn-in)
-        # recorded sweep, i.e. the last w_count entries of t.iteration
-        w = np.concatenate([t.w_history[t.iteration[len(t.table) - t.w_count:] >= burn_in]
-                            for t in traces])
-        n = len(w)
-        mean = w.mean(axis=0) if n else np.zeros_like(traces[0].w_mean)
-    else:
-        # pool the per-chain running means
-        n = 0
-        mean = np.zeros_like(traces[0].w_mean)
-        for t in traces:
-            if t.w_count == 0:
-                continue
-            tot = n + t.w_count
-            mean = mean + (t.w_mean - mean) * (t.w_count / tot)
-            n = tot
-    w_mean = [mean] if lengths is None else split_weights(mean, lengths)
-    return PosteriorSummary(means, stds, w_mean, n)
+    def mean_of(name):
+        return float(np.mean(rows[:, header.index(name)]))
+
+    n = 0
+    mean = np.zeros_like(traces[0].w_mean)
+    for t in traces:
+        if t.w_count:
+            n += t.w_count
+            mean = mean + (t.w_mean - mean) * (t.w_count / n)
+    sizes = [w.size for w in traces[0].final_state.w]
+    lam = [mean_of(f"lambda_{l + 1}") for l in range(len(sizes))]
+    return ModelState(split_weights(mean, sizes),
+                      ActivationParams(**{name: mean_of(name) for name in ACT_BOUNDS}),
+                      HyperState(lam=lam, lam_b=mean_of("lambda_b"), sigma2=mean_of("sigma2")))

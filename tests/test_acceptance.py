@@ -306,8 +306,7 @@ class TestAcceptance:
         traces = run_chains(model, cfg, seed=6)
         rows = {r["parameter"]: r for r in summarize(traces, 350)}
         rhat = max(rows[p]["rhat"] for p in ("c", "gamma", "b"))
-        post = estimate(traces, 350, lengths=net.weight_lengths)
-        st = post.state()
+        st = estimate(traces)
         m = evaluate(net, st.w, st.act, te, "squared-error")
         nz = int((np.abs(np.concatenate([w.ravel() for w in st.w]))
                   < 1e-2).sum())
@@ -374,8 +373,7 @@ class TestAcceptance:
         cfg = SamplerConfig(n_sweeps=500, burn_in=350, n_chains=1,
                             step_size=0.02, leapfrog_steps=5)
         traces = run_chains(model, cfg, seed=0)
-        post = estimate(traces, 350, lengths=net.weight_lengths)
-        st = post.state()
+        st = estimate(traces)
         m = evaluate(net, st.w, st.act, te)
         dt = time.perf_counter() - t0
         ok = m.accuracy >= 0.80 and m.accuracy >= mb.accuracy and dt < 3600

@@ -530,6 +530,36 @@ class TestBaselineCommand:
                             re.findall(r'<polyline points="([^"]*)"', svg)]
         return lengths
 
+    def _csv_doc(self, tmp_path, labels):
+        """A baseline config on a 2-feature CSV whose label column cycles
+        through `labels`, split 3:1."""
+        rng = np.random.default_rng(0)
+        rows = [f"{rng.normal() + 4 * y!r},{rng.normal()!r},{y}"
+                for y in labels * 12]
+        path = tmp_path / "points.csv"
+        path.write_text("f0,f1,label\n" + "\n".join(rows) + "\n")
+        doc = self._doc()
+        doc["dataset"] = {"kind": "csv", "path": str(path),
+                          "split": [0.75, 0.25], "split_seed": 1}
+        return _write(tmp_path / "b.json", doc)
+
+    def test_csv_labels_from_one_count_to_the_largest(self, tmp_path):
+        """Integer labels are class ids: a 1/2-labelled CSV has 3 classes
+        (0 unused), and the baseline trains on it."""
+        cfg = self._csv_doc(tmp_path, [1, 2])
+        assert load_csv(tmp_path / "points.csv").class_count == 3
+        code, text = _run(["baseline", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == EXIT_OK
+        assert "relu baseline on test: accuracy=" in text
+
+    def test_negative_csv_label_is_io_error(self, tmp_path, capsys):
+        cfg = self._csv_doc(tmp_path, [-1, 1])
+        out = tmp_path / "out"
+        code, _ = _run(["baseline", "--config", cfg, "--out", str(out)])
+        assert code == EXIT_IO
+        assert "negative class label -1" in capsys.readouterr().err
+        assert not (out / "run.json").exists()
+
     def test_mmelu_baseline_allowed(self, tmp_path):
         """The comparison arm may also train the hat/ReLU mixture."""
         cfg = _write(tmp_path / "b.json", self._doc(activation="mmelu"))

@@ -176,6 +176,19 @@ class TestCsv:
         assert ds.metadata["classes"] == ["cat", "dog"]
         assert ds.class_count == 2
 
+    def test_integer_labels_are_class_ids(self, tmp_path):
+        p = tmp_path / "i.csv"
+        p.write_text("f0,label\n1.0,2\n2.0,1\n3.0,2\n")
+        ds = load_csv(p)
+        np.testing.assert_array_equal(ds.labels, [2, 1, 2])
+        assert ds.class_count == 3
+
+    def test_negative_integer_label_rejected(self, tmp_path):
+        p = tmp_path / "n.csv"
+        p.write_text("f0,label\n1.0,-1\n2.0,1\n")
+        with pytest.raises(FormatError, match="negative class label -1"):
+            load_csv(p)
+
     def test_label_column_selectable(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("y,x\n0,1.5\n1,2.5\n")

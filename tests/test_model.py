@@ -15,12 +15,8 @@ from gibbsnn.activations import ACT_BOUNDS, ActivationParams, in_bounds, with_va
 from gibbsnn.errors import NumericalError
 from gibbsnn.model import (
     BayesModel,
-    FixedHypers,
     HyperState,
     ModelState,
-    cond_ig_params_lambda_b,
-    cond_ig_params_lambda_l,
-    cond_ig_params_sigma2,
     init_state,
     l1_norms,
 )
@@ -296,39 +292,42 @@ class TestConditionalConsistency:
 
 
 class TestInverseGammaParams:
-    FIXED = FixedHypers()
+    MODEL = _toy_model()[1]  # FixedHypers() defaults: delta = mu = 1e-3
+
+    def _ig(self, block, w=(0.0,), gamma=0.0, b=1.0):
+        st = ModelState([np.asarray(w, dtype=np.float64)],
+                        ActivationParams(gamma=gamma, b=b), HyperState(np.ones(1)))
+        return self.MODEL.ig_params(block, st, 0 if block == "lambda_l" else None)
 
     def test_lambda_l_zero_layer(self):
-        w = [np.zeros(10)]
-        shape, scale = cond_ig_params_lambda_l(0, w, self.FIXED)
+        shape, scale = self._ig("lambda_l", w=np.zeros(10))
         np.testing.assert_allclose((shape, scale), (10.001, 1e-3), rtol=1e-12)
 
     def test_lambda_l_worked_example(self):
         """K_l=10, norm 2.5: IG(10.001, 2.501) with mean 2.501/9.001."""
-        w = [np.full(10, 0.25)]
-        shape, scale = cond_ig_params_lambda_l(0, w, self.FIXED)
+        shape, scale = self._ig("lambda_l", w=np.full(10, 0.25))
         np.testing.assert_allclose((shape, scale), (10.001, 2.501), rtol=1e-12)
         np.testing.assert_allclose(scale / (shape - 1.0), 0.27786, atol=5e-6)
 
     def test_lambda_b_values(self):
-        shape, scale = cond_ig_params_lambda_b(0.0, self.FIXED)
+        shape, scale = self._ig("lambda_b", b=0.0)
         np.testing.assert_allclose((shape, scale), (1.001, 1e-3), rtol=1e-12)
-        shape, scale = cond_ig_params_lambda_b(1.0, self.FIXED)
+        shape, scale = self._ig("lambda_b", b=1.0)
         np.testing.assert_allclose((shape, scale), (1.001, 1.001), rtol=1e-12)
         with pytest.raises(ValueError):
-            cond_ig_params_lambda_b(-0.5, self.FIXED)
+            self._ig("lambda_b", b=-0.5)
 
     def test_sigma2_values(self):
-        shape, scale = cond_ig_params_sigma2(0.0, self.FIXED)
+        shape, scale = self._ig("sigma2", gamma=0.0)
         np.testing.assert_allclose((shape, scale), (0.501, 1e-3), rtol=1e-12)
-        shape, scale = cond_ig_params_sigma2(2.0, self.FIXED)
+        shape, scale = self._ig("sigma2", gamma=2.0)
         np.testing.assert_allclose((shape, scale), (0.501, 2.001), rtol=1e-12)
 
     def test_overflowing_gamma_square(self):
         """Where gamma^2 overflows a Python float, the sigma2 scale is
         infinite, gamma's log prior is -inf, and the scale draw stops the
         sweep with a NumericalError."""
-        assert cond_ig_params_sigma2(1e200, self.FIXED)[1] == np.inf
+        assert self._ig("sigma2", gamma=1e200)[1] == np.inf
         net, model, rng = _toy_model()
         st = _random_state(net, rng)
         for gamma in (1e200, -1e200):
@@ -336,16 +335,6 @@ class TestInverseGammaParams:
         st.act = replace(st.act, gamma=1e200)
         with pytest.raises(NumericalError, match="sigma2"):
             samplers._draw_ig(model, "sigma2", st, rng, 0)
-
-    def test_model_dispatch_matches_free_functions(self):
-        net, model, rng = _toy_model(seed=2)
-        st = _random_state(net, rng)
-        assert model.ig_params("lambda_l", st, 0) == cond_ig_params_lambda_l(
-            0, st.w, model.fixed)
-        assert model.ig_params("lambda_b", st) == cond_ig_params_lambda_b(
-            st.act.b, model.fixed)
-        assert model.ig_params("sigma2", st) == cond_ig_params_sigma2(
-            st.act.gamma, model.fixed)
 
 
 class TestPriorShape:

@@ -7,6 +7,7 @@ floor at the chosen sample sizes.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -467,67 +468,127 @@ class TestTrace:
             np.testing.assert_array_equal(trace.series(name), back.series(name))
 
 
+class TestMiniBatch:
+    """batch_size draws one row subset per sweep, shared by every energy."""
+
+    def _model(self, blob_data, tiny_net):
+        train, _ = blob_data
+        return BayesModel(tiny_net, train.inputs, train.labels,
+                          loss_kind="squared-error")
+
+    @staticmethod
+    def _same(a, b):
+        return all(ta.table.tobytes() == tb.table.tobytes()
+                   and ta.w_mean.tobytes() == tb.w_mean.tobytes()
+                   for ta, tb in zip(a, b, strict=True))
+
+    def test_full_size_batch_is_full_batch(self, blob_data, tiny_net):
+        model = self._model(blob_data, tiny_net)
+        cfg = SamplerConfig(n_sweeps=20, burn_in=5, n_chains=2, leapfrog_steps=2)
+        full = run_chains(model, cfg, seed=21)
+        sized = run_chains(model, replace(cfg, batch_size=model.n_data), seed=21)
+        assert self._same(full, sized)
+
+    def test_one_subset_per_sweep(self, blob_data, tiny_net, monkeypatch):
+        model = self._model(blob_data, tiny_net)
+        k = 40
+        cfg = SamplerConfig(n_sweeps=10, burn_in=5, n_chains=1, leapfrog_steps=3,
+                            batch_size=k)
+        rng = np.random.default_rng(22)
+        chain = ChainState(model=init_state(tiny_net, rng), rng=rng,
+                           step_size=cfg.step_size)
+        seen = []
+        for name in ("act_conditional", "energy_grad"):
+            def recorded(*args, _orig=getattr(model, name), **kwargs):
+                seen.append(np.array(args[-1]))
+                return _orig(*args, **kwargs)
+            monkeypatch.setattr(model, name, recorded)
+        subsets = []
+        for _ in range(2):
+            seen.clear()
+            gibbs_sweep(model, chain, cfg, adapting=True)
+            # the energy refresh, 3 scalar moves, n_leapfrog + 1 gradients
+            assert len(seen) == 1 + 3 + cfg.leapfrog_steps + 1
+            for rows in seen:
+                np.testing.assert_array_equal(rows, seen[0])
+            assert len(np.unique(seen[0])) == k
+            assert 0 <= seen[0].min() and seen[0].max() < model.n_data
+            # the energy carried to the next move is the rescaled subset loss
+            st = chain.model
+            assert chain.energy == model.data_energy(st.w, st.act, seen[0])
+            assert chain.energy != model.data_energy(st.w, st.act)
+            subsets.append(set(seen[0].tolist()))
+        assert subsets[0] != subsets[1]
+
+    def test_seed_reproduces_batched_chain(self, blob_data, tiny_net):
+        model = self._model(blob_data, tiny_net)
+        cfg = SamplerConfig(n_sweeps=20, burn_in=5, n_chains=2, leapfrog_steps=2,
+                            batch_size=50)
+        a = run_chains(model, cfg, seed=23)
+        assert self._same(a, run_chains(model, cfg, seed=23))
+        assert not self._same(a, run_chains(model, replace(cfg, batch_size=None), seed=23))
+
+
 class TestEstimate:
-    def test_frozen_blocks_constant(self, blob_data, tiny_net):
+    def _traces(self, blob_data, tiny_net, seed, **cfg_kw):
         train, _ = blob_data
         model = BayesModel(tiny_net, train.inputs, train.labels,
                            loss_kind="squared-error")
-        cfg = SamplerConfig(n_sweeps=50, burn_in=0, n_chains=1,
-                            update_activation=False, update_weights=False)
-        trace = run_chains(model, cfg, seed=3)[0]
-        summ = estimate(trace, burn_in=0)
-        assert summ.means["c"] == 0.5 and summ.stds["c"] == 0.0
-        assert summ.means["gamma"] == 0.0 and summ.stds["gamma"] == 0.0
-        assert summ.means["b"] == 1.0 and summ.stds["b"] == 0.0
+        cfg_kw = {"n_chains": 1, "leapfrog_steps": 2, **cfg_kw}
+        return run_chains(model, SamplerConfig(**cfg_kw), seed=seed)
+
+    def test_frozen_blocks_constant(self, blob_data, tiny_net):
+        traces = self._traces(blob_data, tiny_net, 3, n_sweeps=50, burn_in=0,
+                              update_activation=False, update_weights=False)
+        st = estimate(traces)
+        assert (st.act.c, st.act.gamma, st.act.b) == (0.5, 0.0, 1.0)
+        for got, start in zip(st.w, traces[0].final_state.w):
+            np.testing.assert_array_equal(got, start)
 
     def test_burn_in_boundary_keeps_last_sample(self, blob_data, tiny_net):
-        train, _ = blob_data
-        model = BayesModel(tiny_net, train.inputs, train.labels,
-                           loss_kind="squared-error")
-        cfg = SamplerConfig(n_sweeps=40, burn_in=10, n_chains=1, leapfrog_steps=2)
-        trace = run_chains(model, cfg, seed=4)[0]
-        summ = estimate(trace, burn_in=39)
-        assert summ.means["c"] == trace.series("c")[-1]
-        assert summ.n_samples == 1
+        """With burn_in = n_sweeps - 1 the one post-burn-in draw is the
+        chain's final state, blocks and scales alike."""
+        traces = self._traces(blob_data, tiny_net, 4, n_sweeps=40, burn_in=39)
+        st, final = estimate(traces), traces[0].final_state
+        assert st.act == final.act
+        assert (st.hyper.lam_b, st.hyper.sigma2) == (final.hyper.lam_b, final.hyper.sigma2)
+        np.testing.assert_array_equal(st.hyper.lam, final.hyper.lam)
+        for got, want in zip(st.w, final.w):
+            np.testing.assert_array_equal(got, want)
 
     def test_pooling_matches_concatenation(self, blob_data, tiny_net):
-        train, _ = blob_data
-        model = BayesModel(tiny_net, train.inputs, train.labels,
-                           loss_kind="squared-error")
-        cfg = SamplerConfig(n_sweeps=60, burn_in=30, n_chains=2, leapfrog_steps=2)
-        traces = run_chains(model, cfg, seed=5)
-        summ = estimate(traces, burn_in=30, lengths=tiny_net.weight_lengths)
-        pooled_c = np.concatenate([t.series("c")[t.iteration >= 30] for t in traces])
-        np.testing.assert_allclose(summ.means["c"], pooled_c.mean(), rtol=1e-12)
-        # weight means recover the same pooling through Welford accumulators
-        per_chain = [t.w_mean for t in traces]
-        counts = [t.w_count for t in traces]
-        manual = sum(c * m for c, m in zip(counts, per_chain)) / sum(counts)
-        got = np.concatenate([w.ravel() for w in summ.w_mean])
-        np.testing.assert_allclose(got, manual, rtol=1e-10, atol=1e-12)
-        assert [len(w) for w in summ.w_mean] == list(tiny_net.weight_lengths)
+        traces = self._traces(blob_data, tiny_net, 5, n_sweeps=60, burn_in=30,
+                              n_chains=2)
+        st = estimate(traces)
+        pooled = np.concatenate([t.table[t.iteration >= 30] for t in traces])
+        header = traces[0].header
+        np.testing.assert_allclose(
+            [st.act.c, st.act.gamma, st.act.b, st.hyper.sigma2, st.hyper.lam_b, *st.hyper.lam],
+            [pooled[:, header.index(name)].mean() for name in traces[0].parameter_names()],
+            rtol=1e-12)
+        # weight means recover the same pooling through running means
+        draws = np.concatenate([t.w_history for t in traces])
+        got = np.concatenate([w.ravel() for w in st.w])
+        np.testing.assert_allclose(got, draws.mean(axis=0), rtol=1e-10, atol=1e-12)
+        assert [len(w) for w in st.w] == list(tiny_net.weight_lengths)
 
     def test_state_round_trip(self, blob_data, tiny_net):
-        train, _ = blob_data
-        model = BayesModel(tiny_net, train.inputs, train.labels,
-                           loss_kind="squared-error")
-        cfg = SamplerConfig(n_sweeps=30, burn_in=10, n_chains=1, leapfrog_steps=2)
-        traces = run_chains(model, cfg, seed=6)
-        summ = estimate(traces, burn_in=10, lengths=tiny_net.weight_lengths)
-        st = summ.state()
+        st = estimate(self._traces(blob_data, tiny_net, 6, n_sweeps=30, burn_in=10))
         assert isinstance(st, ModelState)
         assert isinstance(st.act, ActivationParams)
         assert isinstance(st.hyper, HyperState)
-        assert len(st.w) == tiny_net.n_layers
+        assert len(st.w) == tiny_net.n_layers == len(st.hyper.lam)
 
     def test_all_burned_rejected(self, blob_data, tiny_net):
-        train, _ = blob_data
-        model = BayesModel(tiny_net, train.inputs, train.labels,
-                           loss_kind="squared-error")
-        cfg = SamplerConfig(n_sweeps=20, burn_in=5, n_chains=1, leapfrog_steps=2)
-        trace = run_chains(model, cfg, seed=7)[0]
+        """thin 5 records sweeps 0 and 5 only, both before burn-in 6."""
+        traces = self._traces(blob_data, tiny_net, 7, n_sweeps=8, burn_in=6, thin=5)
+        assert traces[0].w_count == 0
+        with pytest.raises(ValueError, match="no post-burn-in"):
+            estimate(traces)
+
+    def test_no_traces_rejected(self):
         with pytest.raises(ValueError):
-            estimate(trace, burn_in=20)
+            estimate([])
 
 
 class TestCallbacks:
