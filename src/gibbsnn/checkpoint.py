@@ -29,10 +29,11 @@ def config_hash(doc) -> str:
     return hashlib.sha256(_canon(doc).encode()).hexdigest()
 
 
-def _state_doc(w, act, hyper: HyperState | None) -> dict:
+def _state_doc(state: ModelState) -> dict:
+    hyper = state.hyper
     return {
-        "weights": [np.asarray(wi).tolist() for wi in w],
-        "activation": params_doc(act),
+        "weights": [np.asarray(wi).tolist() for wi in state.w],
+        "activation": params_doc(state.act),
         "hyper": None if hyper is None else {
             "lam": hyper.lam.tolist(),
             "lam_b": hyper.lam_b,
@@ -41,34 +42,32 @@ def _state_doc(w, act, hyper: HyperState | None) -> dict:
     }
 
 
-def _state_from(doc, activation_name) -> dict:
+def _state_from(doc, activation_name) -> ModelState:
     hyper = doc["hyper"]
-    return {
-        "w": [np.asarray(wi, dtype=np.float64) for wi in doc["weights"]],
-        "act": make_params(activation_name, doc["activation"]),
-        "hyper": None if hyper is None else HyperState(
-            np.asarray(hyper["lam"], dtype=np.float64),
-            hyper["lam_b"], hyper["sigma2"]),
-    }
+    return ModelState(
+        [np.asarray(wi, dtype=np.float64) for wi in doc["weights"]],
+        make_params(activation_name, doc["activation"]),
+        None if hyper is None else HyperState(
+            np.asarray(hyper["lam"], dtype=np.float64), hyper["lam_b"], hyper["sigma2"]))
 
 
-def save_checkpoint(path, net_spec: NetworkSpec, w, act, hyper,
-                    iteration: int, provenance: dict, chains: list | None = None,
+def save_checkpoint(path, net_spec: NetworkSpec, state: ModelState, iteration: int,
+                    provenance: dict, chains: list | None = None,
                     activation_name: str = "mmelu"):
     """Write a checkpoint.
 
-    w/act/hyper describe the point estimate (hyper may be None for the
-    gradient-descent path).  `chains` optionally carries each chain's
+    `state` is the point estimate (its hyper is None for the
+    gradient-descent path); `chains` optionally carries each chain's
     final ModelState.
     """
     doc = {
         "format_version": FORMAT_VERSION,
         "network": net_spec.to_dict(),
         "activation_name": activation_name,
-        "state": _state_doc(w, act, hyper),
+        "state": _state_doc(state),
         "iteration": int(iteration),
         "provenance": dict(provenance),
-        "chains": [{"state": _state_doc(ch.w, ch.act, ch.hyper)} for ch in chains or []],
+        "chains": [{"state": _state_doc(ch)} for ch in chains or []],
     }
     with open(path, "w") as fh:
         fh.write(_canon(doc))
@@ -78,9 +77,9 @@ def save_checkpoint(path, net_spec: NetworkSpec, w, act, hyper,
 def load_checkpoint(path) -> dict:
     """Read a checkpoint back; inverse of save_checkpoint.
 
-    Returns a dict with keys: network (NetworkSpec), state (a dict of w,
-    act and hyper), iteration, provenance, chains (a ModelState per
-    chain) and activation_name.  Keys that older files hold beyond these,
+    Returns a dict with keys: network (NetworkSpec), state (the point
+    estimate's ModelState), iteration, provenance, chains (a ModelState
+    per chain) and activation_name.  Keys that older files hold beyond these,
     such as a chain's rng_state, are ignored.
     """
     with open(path) as fh:
@@ -101,8 +100,7 @@ def load_checkpoint(path) -> dict:
             "state": _state_from(doc["state"], name),
             "iteration": doc["iteration"],
             "provenance": doc["provenance"],
-            "chains": [ModelState(**_state_from(ch["state"], name))
-                       for ch in doc.get("chains", [])],
+            "chains": [_state_from(ch["state"], name) for ch in doc.get("chains", [])],
         }
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed checkpoint: {exc!r}") from None

@@ -21,7 +21,8 @@ from . import diagnostics as diag
 from . import svgplot
 from .baseline import evaluate, train_baseline, write_history
 from .errors import ConfigError, FormatError, GibbsnnError, NumericalError
-from .model import BayesModel
+from .model import BayesModel, ModelState
+from .network import Network
 from .samplers import estimate, run_chains
 
 EXIT_OK = 0
@@ -36,15 +37,14 @@ def _ensure_out(path) -> str:
     return path
 
 
+def _provenance(doc, seed) -> dict:
+    """What run.json and a checkpoint's provenance record of a run."""
+    return {"config_sha256": ckpt.config_hash(doc), "seed": seed, "version": __version__}
+
+
 def _write_run_meta(out, command, doc, seed):
-    meta = {
-        "command": command,
-        "seed": seed,
-        "version": __version__,
-        "config_sha256": ckpt.config_hash(doc),
-    }
     with open(os.path.join(out, "run.json"), "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
+        json.dump({"command": command, **_provenance(doc, seed)}, fh, indent=2, sort_keys=True)
     with open(os.path.join(out, "config.json"), "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
 
@@ -119,14 +119,10 @@ def cmd_train(args) -> int:
         _metric_curves(xs, [r for r in metrics_rows if r["chain"] == 0], "over sweeps", out)
 
     mean_state = estimate(traces)
-    provenance = {"config_sha256": ckpt.config_hash(doc), "seed": seed,
-                  "version": __version__}
     ckpt.save_checkpoint(
-        os.path.join(out, "checkpoint.json"), net.spec,
-        mean_state.w, mean_state.act, mean_state.hyper,
-        iteration=scfg.n_sweeps, provenance=provenance,
-        chains=[t.final_state for t in traces],
-        activation_name="mmelu")
+        os.path.join(out, "checkpoint.json"), net.spec, mean_state,
+        iteration=scfg.n_sweeps, provenance=_provenance(doc, seed),
+        chains=[t.final_state for t in traces], activation_name="mmelu")
 
     m = evaluate(net, mean_state.w, mean_state.act, test, cfg["loss"])
     print(f"posterior mean on test: accuracy={m.accuracy:.4f} loss={m.loss:.4f} "
@@ -155,11 +151,10 @@ def cmd_baseline(args) -> int:
     epochs = sorted({r["epoch"] for r in completed})
     _metric_curves(epochs, completed, "per epoch", out)
 
-    provenance = {"config_sha256": ckpt.config_hash(doc), "seed": seed,
-                  "version": __version__}
     ckpt.save_checkpoint(
-        os.path.join(out, "checkpoint.json"), net.spec, w, act, None,
-        iteration=len(epochs), provenance=provenance, activation_name=bcfg.activation)
+        os.path.join(out, "checkpoint.json"), net.spec, ModelState(w, act, None),
+        iteration=len(epochs), provenance=_provenance(doc, seed),
+        activation_name=bcfg.activation)
 
     diverged = len(completed) < len(history)
     if diverged:
@@ -180,10 +175,8 @@ def cmd_eval(args) -> int:
     if rest is not None:
         dataset = rest  # evaluation targets the held-out side of a split
 
-    from .network import Network
-    net = Network(loaded["network"])
     state = loaded["state"]
-    m = evaluate(net, state["w"], state["act"], dataset, cfg["loss"])
+    m = evaluate(Network(loaded["network"]), state.w, state.act, dataset, cfg["loss"])
     line = (f"accuracy={m.accuracy:.4f} loss={m.loss:.4f} "
             f"sensitivity={m.sensitivity:.4f} specificity={m.specificity:.4f}")
     print(line)

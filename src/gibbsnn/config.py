@@ -15,9 +15,9 @@ import numpy as np
 from . import data as dataio
 from .baseline import BaselineConfig
 from .diagnostics import SPLIT_RHAT_MIN_ROWS
-from .errors import ConfigError
+from .errors import ConfigError, ShapeError
 from .network import LOSS_KINDS, LayerSpec, Network, NetworkSpec
-from .presets import PRESETS, build_preset, mlp
+from .presets import PRESETS, mlp
 from .samplers import SamplerConfig
 
 
@@ -173,8 +173,6 @@ def build_dataset(doc):
 
 _NETWORK_SCHEMA = {
     "preset": Field(str, default=None),
-    "input_shape": Field(list, default=None),
-    "class_count": Field(int, default=None, check=_positive),
     "hidden": Field(list, default=None),
     "layers": Field(list, default=None),
 }
@@ -186,52 +184,48 @@ def validate_network(doc, path="config.network") -> dict:
         raise ConfigError(f"{path}: needs either 'preset' or 'layers'")
     if out["preset"] is not None and out["layers"] is not None:
         raise ConfigError(f"{path}: 'preset' and 'layers' are mutually exclusive")
+    if out["hidden"] is not None and out["preset"] != "mlp":
+        raise ConfigError(f"{path}.hidden: only preset 'mlp' takes hidden widths")
     return out
 
 
-def build_network(doc, activation, train=None):
-    """Build (Network, dropout-map) from the network section.
+def build_network(doc, activation, train):
+    """Build (Network, dropout-map) from the network section for the
+    training set `train`, whose input shape and class count it takes.
 
-    input_shape and class_count default to the training set's shape and
-    class count, and must match them.  preset 'mlp' takes hidden layer widths.
+    preset 'mlp' takes hidden layer widths (default [8]); a 'layers'
+    list's activation layers must all be `activation`.
     """
-    input_shape = doc.get("input_shape")
-    classes = doc.get("class_count")
-    if train is not None:
-        input_shape = list(train.inputs.shape[1:])
-        classes = train.class_count or classes
-        for key, found in (("input_shape", input_shape), ("class_count", classes)):
-            if doc.get(key) not in (None, found):
-                raise ConfigError(f"config.network.{key}: {doc[key]} does not match "
-                                  f"the dataset's {found}")
-    if input_shape is None or classes is None:
-        raise ConfigError("config.network: input_shape and class_count are "
-                          "required without a dataset to infer them from")
+    input_shape = tuple(train.inputs.shape[1:])
+    classes = train.class_count
+    if classes is None:
+        raise ConfigError("config.network: the dataset has no class count "
+                          "(its labels are not integer class ids)")
 
-    if doc.get("layers") is not None:
-        try:
-            layers = tuple(LayerSpec.from_dict(d) for d in doc["layers"])
-            spec = NetworkSpec(layers, tuple(input_shape), classes)
-            return Network(spec), {}
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"config.network.layers: {exc}") from None
-
-    preset = doc["preset"]
-    if preset not in ("mlp", *PRESETS):
+    layers, preset = doc.get("layers"), doc.get("preset")
+    if layers is None and preset not in ("mlp", *PRESETS):
         raise ConfigError(f"config.network.preset: unknown preset {preset!r}; known: "
                           f"{sorted(['mlp', *PRESETS])}, or a 'layers' list in place of 'preset'")
-    if preset == "mlp":
-        hidden = tuple(doc.get("hidden") or (8,))
-        if len(input_shape) != 1:
-            raise ConfigError(
-                f"config.network: preset 'mlp' needs flat inputs, got {input_shape}")
-        spec, dropout = mlp(input_shape[0], classes, hidden, activation)
-    else:
-        try:
-            spec, dropout = build_preset(preset, input_shape, classes, activation)
-        except ValueError as exc:
-            raise ConfigError(f"config.network: preset {preset!r}: {exc}") from None
-    return Network(spec), dropout
+    where = "config.network.layers" if layers is not None else f"config.network: preset {preset!r}"
+    try:
+        if layers is not None:
+            layers = tuple(LayerSpec.from_dict(d) for d in layers)
+            spec, dropout = NetworkSpec(layers, input_shape, classes), {}
+        elif preset == "mlp":
+            if len(input_shape) != 1:
+                raise ValueError(f"needs flat inputs, got {input_shape}")
+            hidden = doc.get("hidden")
+            spec, dropout = mlp(input_shape[0], classes,
+                                (8,) if hidden is None else tuple(hidden), activation)
+        else:
+            spec, dropout = PRESETS[preset](input_shape, classes, activation)
+        net = Network(spec)
+    except (KeyError, TypeError, ValueError, ShapeError) as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+    if net.activation_name not in (None, activation):
+        raise ConfigError(f"{where}: the activation layers are {net.activation_name!r}, "
+                          f"but this run trains {activation!r}")
+    return net, dropout
 
 
 # --- train / baseline / eval / convert documents -------------------------------
@@ -373,7 +367,7 @@ def sampler_config(section, chains=None) -> SamplerConfig:
     return cfg
 
 
-def baseline_config(section, network_doc, train=None):
+def baseline_config(section, network_doc, train):
     """(Network, validated BaselineConfig) of a baseline document.
 
     dropout is true (the default: the preset's table), false (none) or a

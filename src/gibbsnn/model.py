@@ -66,11 +66,13 @@ class HyperState:
 
 @dataclass
 class ModelState:
-    """One point of the sampled space: weights, activation triple, scales."""
+    """One point of the sampled space: weights, activation triple, scales.
+    A gradient-trained net's state has its activation's parameters and no
+    scales."""
 
     w: list
     act: ActivationParams
-    hyper: HyperState
+    hyper: HyperState | None
 
     def copy(self) -> "ModelState":
         return ModelState([wi.copy() for wi in self.w], replace(self.act), self.hyper.copy())

@@ -300,8 +300,19 @@ class Network:
 # input_grad=False passes g on unchanged.
 
 
+def _widths(layer, where, form, kernel=()):
+    # (n_in, n_out) or (out_c, in_c) of a weighted layer whose dims are
+    # positive integers laid out as `form`, ending in `kernel`
+    dims = tuple(layer.dims)
+    if (len(dims) != 2 + len(kernel) or dims[2:] != kernel
+            or not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool) and d > 0
+                       for d in dims)):
+        raise ShapeError(f"{where}: dims must be {form} in positive integers, got {list(dims)}")
+    return dims[:2]
+
+
 def _dense(layer, shape, where, *_):
-    n_in, n_out = layer.dims
+    n_in, n_out = _widths(layer, where, "(in, out)")
     if shape != (n_in,):
         raise ShapeError(f"{where}: expected input ({n_in},), got {shape}")
     nk = n_in * n_out
@@ -317,7 +328,7 @@ def _dense(layer, shape, where, *_):
 
 
 def _conv2d(layer, shape, where, *_):
-    out_c, in_c = layer.dims[0], layer.dims[1]
+    out_c, in_c = _widths(layer, where, "(out, in, 3, 3)", (KERNEL, KERNEL))
     if len(shape) != 3 or shape[2] != in_c:
         raise ShapeError(f"{where}: expected input (H, W, {in_c}), got {shape}")
     kshape = (out_c, in_c, KERNEL, KERNEL)

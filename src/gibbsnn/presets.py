@@ -10,7 +10,6 @@ Dropout rates are used by the gradient-descent trainer only; the sampler
 path never applies dropout (stochastic masks would change the energy).
 """
 
-from .activations import registered_names
 from .network import (
     NetworkSpec, act, conv2d, dense, flatten, maxpool, softmax_layer)
 
@@ -91,11 +90,3 @@ def mlp(n_features, classes=2, hidden=(8,), activation="mmelu"):
 
 PRESETS = {"cnn1": cnn1, "cnn2": cnn2, "deep": deep}  # mlp takes hidden widths instead
 
-
-def build_preset(name, input_shape, classes, activation="mmelu"):
-    """Preset dispatch used by configuration loading."""
-    if activation not in registered_names():
-        raise KeyError(f"unknown activation {activation!r}")
-    if name not in PRESETS:
-        raise KeyError(f"unknown preset {name!r}; known: {sorted(PRESETS)}")
-    return PRESETS[name](tuple(input_shape), classes, activation)

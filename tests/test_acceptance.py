@@ -23,7 +23,7 @@ from gibbsnn.data import load_cifar10, load_idx, split, synth_blobs
 from gibbsnn.errors import BadMagicError, CountMismatchError, TruncatedError
 from gibbsnn.model import BayesModel, FixedHypers, HyperState, ModelState
 from gibbsnn.network import Network, NetworkSpec, act, dense, softmax_layer
-from gibbsnn.presets import build_preset, mlp
+from gibbsnn.presets import cnn1, mlp
 from gibbsnn.samplers import (
     SamplerConfig,
     estimate,
@@ -359,7 +359,7 @@ class TestAcceptance:
         te = load_idx(found[names[2]], found[names[3]]).subset(
             np.arange(500))
 
-        spec_b, drop = build_preset("cnn1", (28, 28, 1), 10, "relu")
+        spec_b, drop = cnn1((28, 28, 1), 10, "relu")
         net_b = Network(spec_b)
         bcfg = BaselineConfig(activation="relu", epochs=15,
                               learning_rate=1e-3, batch_size=64,
@@ -367,7 +367,7 @@ class TestAcceptance:
         wb, ab, _ = train_baseline(net_b, bcfg, tr, te, seed=0)
         mb = evaluate(net_b, wb, ab, te)
 
-        spec, _ = build_preset("cnn1", (28, 28, 1), 10, "mmelu")
+        spec, _ = cnn1((28, 28, 1), 10, "mmelu")
         net = Network(spec)
         model = BayesModel(net, tr.inputs, tr.labels)
         cfg = SamplerConfig(n_sweeps=500, burn_in=350, n_chains=1,

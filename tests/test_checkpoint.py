@@ -17,7 +17,7 @@ from gibbsnn.presets import mlp
 
 def _save(path, parts):
     spec, w, act, hyper, name = parts
-    ckpt.save_checkpoint(path, spec, w, act, hyper, iteration=3,
+    ckpt.save_checkpoint(path, spec, ModelState(w, act, hyper), iteration=3,
                          provenance={"seed": 5}, activation_name=name)
     return path.read_bytes()
 
@@ -37,11 +37,12 @@ def test_round_trip_through_parsed_state(name, tmp_path):
 
     loaded = ckpt.load_checkpoint(tmp_path / "a.json")
     st = loaded["state"]
+    assert isinstance(st, ModelState)
     again = _save(tmp_path / "b.json",
-                  (loaded["network"], st["w"], st["act"], st["hyper"], loaded["activation_name"]))
+                  (loaded["network"], st.w, st.act, st.hyper, loaded["activation_name"]))
     assert again == first
 
-    got = st["act"]
+    got = st.act
     if name == "mmelu":
         assert isinstance(got, ActivationParams)
         assert got == act
@@ -55,7 +56,7 @@ def test_round_trip_through_parsed_state(name, tmp_path):
                 assert val.tobytes() == act[key].tobytes()
             else:
                 assert isinstance(val, float) and val == act[key]
-    for a, b in zip(st["w"], w):
+    for a, b in zip(st.w, w):
         assert a.dtype == np.float64 and a.tobytes() == b.tobytes()
 
 
@@ -67,8 +68,7 @@ def test_chain_rng_state_of_older_files_is_ignored(tmp_path):
     w = Network(spec).init_weights(rng)
     chain = ModelState(w, make_params("mmelu"), HyperState(np.ones(2), lam_b=0.5, sigma2=2.0))
     path = tmp_path / "old.json"
-    ckpt.save_checkpoint(path, spec, w, chain.act, chain.hyper, iteration=1,
-                         provenance={}, chains=[chain])
+    ckpt.save_checkpoint(path, spec, chain, iteration=1, provenance={}, chains=[chain])
     doc = json.loads(path.read_text())
     doc["chains"][0]["rng_state"] = {"bit_generator": "PCG64", "state": {"state": 1, "inc": 3}}
     path.write_text(json.dumps(doc))

@@ -5,16 +5,23 @@ import contextlib
 import csv
 import io
 import json
+import os
+import pathlib
 import re
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
 
+from gibbsnn import __version__
 from gibbsnn import checkpoint as ckpt
 from gibbsnn import config as cfgmod
 from gibbsnn.baseline import BaselineConfig
 from gibbsnn.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 from gibbsnn.data import Dataset, load_csv, write_csv, write_idx
+from gibbsnn.model import ModelState
 from gibbsnn.network import NetworkSpec, dense, softmax_layer
 from gibbsnn.presets import cnn1
 from gibbsnn.samplers import SamplerConfig
@@ -108,9 +115,8 @@ class TestTrainCommand:
         original = (out / "checkpoint.json").read_bytes()
         loaded = ckpt.load_checkpoint(out / "checkpoint.json")
         assert len(loaded["chains"]) == 2
-        st = loaded["state"]
         again = tmp_path / "again.json"
-        ckpt.save_checkpoint(again, loaded["network"], st["w"], st["act"], st["hyper"],
+        ckpt.save_checkpoint(again, loaded["network"], loaded["state"],
                              iteration=loaded["iteration"], provenance=loaded["provenance"],
                              chains=loaded["chains"],
                              activation_name=loaded["activation_name"])
@@ -246,8 +252,8 @@ class TestConfigSections:
     @pytest.mark.parametrize("key, value", [("input_shape", [5]), ("class_count", 2)])
     def test_network_not_matching_dataset_writes_nothing(self, tmp_path, capsys,
                                                          command, key, value):
-        """A network section that disagrees with its 3-class, 4-feature
-        dataset is a configuration error, raised before run.json exists."""
+        """The input shape and class count come from the dataset alone: a
+        network section that sets either is refused before run.json exists."""
         doc = _train_doc() if command == "train" else _baseline_doc()
         doc["dataset"].update(classes=3, d=4)
         doc["network"][key] = value
@@ -256,7 +262,7 @@ class TestConfigSections:
         code, _ = _run([command, "--config", cfg, "--out", str(out)])
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith(f"configuration error: config.network.{key}: "), err
+        assert err.startswith(f"configuration error: config.network: unknown keys ['{key}']"), err
         assert not (out / "run.json").exists()
 
     def test_test_only_switches_are_not_keys(self, tmp_path, capsys):
@@ -269,21 +275,136 @@ class TestConfigSections:
 
     def test_omitted_sections_are_the_dataclass_defaults(self):
         assert cfgmod.sampler_config(None) == SamplerConfig()
-        network = {"preset": "cnn1", "input_shape": [28, 28, 1], "class_count": 10}
-        _, cfg = cfgmod.baseline_config(None, network)
+        images = Dataset(np.zeros((1, 28, 28, 1)), np.array([0]), class_count=10)
+        _, cfg = cfgmod.baseline_config(None, {"preset": "cnn1"}, images)
         assert cfg == BaselineConfig(dropout=cnn1(activation="relu")[1])
 
     def test_keys_map_to_fields(self):
         section = {"activation": "prelu", "loss": "squared-error", "learning_rate": 1,
                    "l1": [0, 0.5], "dropout": {"1": 0.25}, "train_activation": False}
-        _, cfg = cfgmod.baseline_config(section, {"preset": "mlp", "input_shape": [3],
-                                                  "class_count": 2})
+        rows = Dataset(np.zeros((1, 3)), np.array([0]), class_count=2)
+        _, cfg = cfgmod.baseline_config(section, {"preset": "mlp"}, rows)
         assert cfg == BaselineConfig(activation="prelu", loss_kind="squared-error",
                                      learning_rate=1.0, l1=[0, 0.5], dropout={1: 0.25},
                                      train_activation=False)
         assert isinstance(cfg.learning_rate, float)
         assert cfgmod.sampler_config({"step_size": 1, "n_chains": 3}, chains=1) == \
             SamplerConfig(step_size=1.0, n_chains=1)
+
+
+def _stack(n_in, width, activation="mmelu"):
+    """A `layers` list: dense(n_in, width), activation, dense(width, 2), softmax."""
+    return [{"kind": "dense", "dims": [n_in, width]},
+            {"kind": "activation", "activation": activation},
+            {"kind": "dense", "dims": [width, 2]}, {"kind": "softmax"}]
+
+
+class TestNetworkSection:
+    """The network section names a preset or a layer list; the dataset
+    gives the input shape and class count.  Every refusal is a
+    configuration error raised before run.json exists."""
+
+    @staticmethod
+    def _refused(tmp_path, capsys, command, doc):
+        cfg = _write(tmp_path / "c.json", doc)
+        out = tmp_path / "out"
+        code, _ = _run([command, "--config", cfg, "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert not (out / "run.json").exists()
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, network, message", [
+        ("train", {"layers": _stack(4, 0)}, "config.network.layers: layer 0 (dense): "
+         "dims must be (in, out) in positive integers, got [4, 0]"),
+        ("train", {"layers": _stack(4, -3)}, "config.network.layers: layer 0 (dense): "
+         "dims must be (in, out) in positive integers, got [4, -3]"),
+        ("train", {"layers": _stack(4, 2.5)}, "config.network.layers: layer 0 (dense): "
+         "dims must be (in, out) in positive integers, got [4, 2.5]"),
+        ("baseline", {"preset": "mlp", "hidden": [0]}, "config.network: preset 'mlp': "
+         "layer 0 (dense): dims must be (in, out) in positive integers, got [2, 0]"),
+        ("baseline", {"preset": "mlp", "hidden": [-3]}, "config.network: preset 'mlp': "
+         "layer 0 (dense): dims must be (in, out) in positive integers, got [2, -3]"),
+        ("baseline", {"preset": "mlp", "hidden": [2.5]}, "config.network: preset 'mlp': "
+         "layer 0 (dense): dims must be (in, out) in positive integers, got [2, 2.5]"),
+        ("baseline", {"preset": "mlp", "hidden": ["x"]}, "config.network: preset 'mlp': "
+         "layer 0 (dense): dims must be (in, out) in positive integers, got [2, 'x']"),
+        ("train", {"preset": "cnn1", "hidden": [99, 99]},
+         "config.network.hidden: only preset 'mlp' takes hidden widths"),
+        ("train", {"layers": _stack(4, 3), "hidden": [99, 99]},
+         "config.network.hidden: only preset 'mlp' takes hidden widths"),
+        ("train", {"layers": _stack(4, 3, "relu")},
+         "config.network.layers: the activation layers are 'relu', but this run trains 'mmelu'"),
+        ("train", {"layers": _stack(4, 3, "rleu")},
+         "config.network.layers: the activation layers are 'rleu', but this run trains 'mmelu'"),
+        ("baseline", {"layers": _stack(2, 3, "prelu")},
+         "config.network.layers: the activation layers are 'prelu', but this run trains 'relu'"),
+    ], ids=["layers-zero-width", "layers-negative-width", "layers-fractional-width",
+            "hidden-zero", "hidden-negative", "hidden-fractional", "hidden-string",
+            "hidden-with-cnn1", "hidden-with-layers", "layers-relu", "layers-typo",
+            "layers-not-baseline-activation"])
+    def test_refused_before_run_json(self, tmp_path, capsys, command, network, message):
+        doc = _train_doc() if command == "train" else _baseline_doc()
+        doc["network"] = network
+        err = self._refused(tmp_path, capsys, command, doc)
+        assert err == f"configuration error: {message}\n"
+
+    def test_conv_kernel_other_than_3x3_refused(self, tmp_path, capsys):
+        """A conv layer is 3x3; dims asking for 5x5 are refused, not built
+        as 3x3 and recorded as 5x5."""
+        rng = np.random.default_rng(0)
+        images = Dataset(rng.random((8, 4, 4, 1)), np.arange(8) % 2, class_count=2)
+        write_idx(images, tmp_path / "img.idx", tmp_path / "lab.idx")
+        doc = _train_doc(n_sweeps=4, burn_in=0, n_chains=1)
+        doc["dataset"] = {"kind": "idx", "images": str(tmp_path / "img.idx"),
+                          "labels": str(tmp_path / "lab.idx")}
+        doc["network"] = {"layers": [
+            {"kind": "conv2d", "dims": [2, 1, 5, 5]},
+            {"kind": "activation", "activation": "mmelu"},
+            {"kind": "flatten"}, {"kind": "dense", "dims": [32, 2]}, {"kind": "softmax"}]}
+        err = self._refused(tmp_path, capsys, "train", doc)
+        assert err == ("configuration error: config.network.layers: layer 0 (conv2d): dims "
+                       "must be (out, in, 3, 3) in positive integers, got [2, 1, 5, 5]\n")
+
+    def test_dataset_without_class_count_refused(self, tmp_path, capsys):
+        """Real-valued CSV labels give no class count for the output layer."""
+        path = tmp_path / "points.csv"
+        path.write_text("f0,f1,label\n" + "".join(f"{i},{-i},{i + 0.5}\n" for i in range(8)))
+        doc = _baseline_doc()
+        doc["dataset"] = {"kind": "csv", "path": str(path)}
+        err = self._refused(tmp_path, capsys, "baseline", doc)
+        assert err.startswith("configuration error: config.network: the dataset has no "
+                              "class count"), err
+
+    def test_empty_hidden_builds_no_hidden_layer(self, tmp_path):
+        doc = _baseline_doc(epochs=1)
+        doc["network"] = {"preset": "mlp", "hidden": []}
+        out = tmp_path / "out"
+        code, _ = _run(["baseline", "--config", _write(tmp_path / "b.json", doc),
+                        "--out", str(out)])
+        assert code == EXIT_OK
+        layers = json.loads((out / "checkpoint.json").read_text())["network"]["layers"]
+        assert layers == [{"kind": "dense", "dims": [2, 2]}, {"kind": "softmax"}]
+
+
+class TestVersion:
+    """__version__ is the one source of the version: the entry point and
+    the packaging metadata both read it."""
+
+    def test_module_entry_point_prints_version(self):
+        src = str(pathlib.Path(cfgmod.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-m", "gibbsnn", "--version"],
+                              env={**os.environ, "PYTHONPATH": path},
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout) == (0, f"gibbsnn {__version__}\n")
+
+    def test_pyproject_reads_the_package_version(self):
+        pyproject = pytest.importorskip("setuptools.config.pyprojecttoml")
+        path = pathlib.Path(__file__).parents[1] / "pyproject.toml"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the reader flags itself as beta
+            meta = pyproject.read_configuration(str(path), expand=True)
+        assert meta["project"]["version"] == __version__
 
 
 class TestDeterministicRepeat:
@@ -315,7 +436,7 @@ class TestEvalCommand:
         spec = NetworkSpec((dense(2, 2), softmax_layer()), (2,), 2)
         w = [np.concatenate([8.0 * np.eye(2).ravel(), np.zeros(2)])]
         path = root / "perfect.json"
-        ckpt.save_checkpoint(path, spec, w, {}, None, iteration=0,
+        ckpt.save_checkpoint(path, spec, ModelState(w, {}, None), iteration=0,
                              provenance={"seed": 0}, activation_name="relu")
         x = np.array([[1.0, 0.0], [0.0, 1.0]] * 3)
         ds = Dataset(x, np.array([0, 1] * 3), class_count=2)

@@ -28,7 +28,7 @@ from gibbsnn.network import (
     split_weights,
 )
 from gibbsnn.optim import Adam, SGD
-from gibbsnn.presets import build_preset, cnn1, mlp
+from gibbsnn.presets import PRESETS, cnn1, mlp
 
 
 def _dense_net(n_in, n_out, activation="mmelu", hidden=None):
@@ -103,8 +103,26 @@ class TestForward:
          "layer 0 (conv2d): expected input (H, W, 2), got (5, 5, 3)"),
         ([dense(3, 2), dense(3, 2), softmax_layer()], (3,),
          "layer 1 (dense): expected input (3,), got (2,)"),
+        ([dense(3, 0)], (3,),
+         "layer 0 (dense): dims must be (in, out) in positive integers, got [3, 0]"),
+        ([dense(3, -3)], (3,),
+         "layer 0 (dense): dims must be (in, out) in positive integers, got [3, -3]"),
+        ([dense(3, 2.5)], (3,),
+         "layer 0 (dense): dims must be (in, out) in positive integers, got [3, 2.5]"),
+        ([dense(3, True)], (3,),
+         "layer 0 (dense): dims must be (in, out) in positive integers, got [3, True]"),
+        ([LayerSpec("dense", (3,))], (3,),
+         "layer 0 (dense): dims must be (in, out) in positive integers, got [3]"),
+        ([LayerSpec("conv2d", (2, 1, 5, 5))], (5, 5, 1),
+         "layer 0 (conv2d): dims must be (out, in, 3, 3) in positive integers, got [2, 1, 5, 5]"),
+        ([LayerSpec("conv2d", (2, 1))], (5, 5, 1),
+         "layer 0 (conv2d): dims must be (out, in, 3, 3) in positive integers, got [2, 1]"),
+        ([conv2d(0, 1)], (5, 5, 1),
+         "layer 0 (conv2d): dims must be (out, in, 3, 3) in positive integers, got [0, 1, 3, 3]"),
     ], ids=["unknown-kind", "missing-activation", "mixed-activations", "softmax-not-last",
-            "logit-count", "pool-too-small", "conv-channels", "dense-mismatch"])
+            "logit-count", "pool-too-small", "conv-channels", "dense-mismatch",
+            "zero-width", "negative-width", "fractional-width", "boolean-width",
+            "dense-dims-count", "conv-kernel-5x5", "conv-dims-count", "zero-channels"])
     def test_bad_layer_composition_rejected(self, layers, input_shape, message):
         """Every ShapeError of construction names its layer and kind."""
         with pytest.raises(ShapeError) as err:
@@ -628,12 +646,10 @@ class TestPresets:
         assert net.n_layers == 3
         assert net.layer_shapes[-2] == (3,)
 
-    def test_build_preset_names(self):
-        for name in ("cnn1", "cnn2", "deep"):
-            spec, _ = build_preset(name, (28, 28, 1), 10)
+    def test_image_presets_compile(self):
+        for preset in PRESETS.values():
+            spec, _ = preset((28, 28, 1), 10)
             Network(spec)
-        with pytest.raises(Exception):
-            build_preset("resnet", (28, 28, 1), 10)
 
     def test_spec_round_trip(self):
         spec, _ = mlp(6, 2, hidden=(5,))

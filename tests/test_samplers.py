@@ -377,16 +377,26 @@ class TestSamplerConfig:
 
 
 class TestGibbsSweepPrior:
-    def test_c_prior_mean_half(self):
-        """With no data every block samples its prior; c is U[0, 1]."""
+    @staticmethod
+    def _c_prior_draws(subsweeps):
+        # c over 10,000 sweeps with no data, seed 12; c's prior is U[0, 1]
         net, model = _prior_only_model()
         cfg = SamplerConfig(n_sweeps=10000, burn_in=0, n_chains=1, adapt=False,
-                            leapfrog_steps=3)
-        rng = np.random.default_rng(12)
-        trace = run_chain(model, cfg, rng)
-        c = trace.series("c")
+                            leapfrog_steps=3, scalar_subsweeps=subsweeps)
+        c = run_chain(model, cfg, np.random.default_rng(12)).series("c")
         assert abs(c.mean() - 0.5) < 0.02
         assert c.min() >= 0.0 and c.max() <= 1.0
+        return c
+
+    def test_c_prior_mean_half(self):
+        """With no data every block samples its prior; c is U[0, 1]."""
+        self._c_prior_draws(1)
+
+    def test_c_prior_with_three_scalar_subsweeps(self):
+        """Repeating the scalar moves within a sweep keeps c's prior."""
+        c = self._c_prior_draws(3)
+        d = ks_distance(c, lambda x: np.clip(x, 0.0, 1.0))
+        assert d < 0.05, f"KS {d}"
 
     def test_lambda_b_conditional_frozen_b(self):
         """b frozen at 1: lambda_b draws are iid IG(1.001, 1.001)."""
