@@ -13,9 +13,9 @@ import json
 import numpy as np
 
 from .activations import make_params, params_doc
-from .errors import FormatError
+from .errors import FormatError, ShapeError
 from .model import HyperState, ModelState
-from .network import NetworkSpec
+from .network import Network, NetworkSpec
 
 FORMAT_VERSION = 1
 
@@ -80,7 +80,9 @@ def load_checkpoint(path) -> dict:
     Returns a dict with keys: network (NetworkSpec), state (the point
     estimate's ModelState), iteration, provenance, chains (a ModelState
     per chain) and activation_name.  Keys that older files hold beyond these,
-    such as a chain's rng_state, are ignored.
+    such as a chain's rng_state, are ignored.  A network that does not
+    compile or give class_count outputs, or weights that do not fit it,
+    raise FormatError.
     """
     with open(path) as fh:
         raw = fh.read()
@@ -94,14 +96,23 @@ def load_checkpoint(path) -> dict:
             f"{path}: unsupported checkpoint format_version {version!r}")
     try:
         name = doc.get("activation_name", "mmelu")
-        return {
-            "network": NetworkSpec.from_dict(doc["network"]),
+        net = Network(NetworkSpec.from_dict(doc["network"]))
+        out = {
+            "network": net.spec,
             "activation_name": name,
             "state": _state_from(doc["state"], name),
             "iteration": doc["iteration"],
             "provenance": doc["provenance"],
             "chains": [_state_from(ch["state"], name) for ch in doc.get("chains", [])],
         }
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ShapeError) as exc:
         raise FormatError(f"{path}: malformed checkpoint: {exc!r}") from None
+    if (shape := (net.spec.input_shape, *net.layer_shapes)[-1]) != (net.spec.class_count,):
+        raise FormatError(f"{path}: network outputs {shape}, not class_count values")
+    want = [(k,) for k in net.weight_lengths]
+    named = [("state", out["state"]), *((f"chain {i}", c) for i, c in enumerate(out["chains"]))]
+    for where, st in named:
+        if (got := [wi.shape for wi in st.w]) != want:
+            raise FormatError(f"{path}: {where} weight shapes {got}, network needs {want}")
+    return out
 

@@ -314,9 +314,7 @@ def validate_convert(doc) -> dict:
 
 # --- sampler and baseline sections: SamplerConfig and BaselineConfig ----------
 
-# the two switches that only tests turn off stay out of the file format
-_SAMPLER_KEYS = {f.name: f.name for f in dataclasses.fields(SamplerConfig)
-                 if f.name not in ("update_weights", "update_activation")}
+_SAMPLER_KEYS = {f.name: f.name for f in dataclasses.fields(SamplerConfig)}
 _BASELINE_KEYS = {f.name: "loss" if f.name == "loss_kind" else f.name
                   for f in dataclasses.fields(BaselineConfig)}
 

@@ -1,14 +1,15 @@
 """Gibbs sampler over (c, gamma, b, sigma2, lambda_b, lambda_l, W).
 
-One sweep updates, in that fixed order: Metropolis-within-Gibbs moves for
-the three activation parameters (Gaussian random walk, reflected at the
-support boundaries), exact inverse-gamma draws for the three scale blocks,
-and a proximal non-smooth HMC move for the weight vector.
+A sweep walks a list of moves, each a kernel stationary for the joint
+(Metropolis-within-Gibbs); by default, in order: Metropolis moves for the
+three activation parameters (Gaussian random walk, reflected at the
+support boundaries), exact inverse-gamma draws for the three scale
+blocks, and a proximal non-smooth HMC move for the weight vector.
 
-Proposal scales and the HMC step size adapt by Robbins-Monro on log scale
-during burn-in only (targets TARGET_ACCEPT_MH for the scalar moves,
-TARGET_ACCEPT_HMC for HMC), then stay frozen so the post-burn-in chain
-is a valid MCMC kernel.
+Each move's proposal scale or HMC step size adapts by Robbins-Monro on
+log scale during burn-in only (targets TARGET_ACCEPT_MH for the scalar
+moves, TARGET_ACCEPT_HMC for HMC), then stays frozen so the post-burn-in
+chain is a valid MCMC kernel.
 
 Mini-batch energies (SamplerConfig.batch_size) are supported but make the
 target approximate; full batch is the default and the exact mode.
@@ -16,7 +17,9 @@ target approximate; full batch is the default and the exact mode.
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from collections.abc import Callable
+from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -179,8 +182,7 @@ def nshmc_step(q, rng, energy_grad, l1_scale, step, n_leapfrog):
 
 @dataclass
 class SamplerConfig:
-    """Knobs of the Gibbs run; the fields but update_weights and
-    update_activation are the keys of a run config's sampler section.
+    """Knobs of the Gibbs run; its fields are a run config's sampler keys.
 
     n_sweeps counts total sweeps including burn_in; burn_in draws are kept
     in the trace (for plots) but excluded from estimators.  batch_size
@@ -195,9 +197,7 @@ class SamplerConfig:
     thin: int = 1
     adapt: bool = True
     batch_size: int | None = None
-    update_weights: bool = True
-    update_activation: bool = True
-    # extra MH refreshes of c/gamma/b per sweep; 1 reproduces the printed
+    # passes of the c/gamma/b moves per sweep; 1 reproduces the printed
     # single-proposal block order, larger values speed up the heavy-tailed
     # scalar walks without touching the stationary law
     scalar_subsweeps: int = 1
@@ -225,23 +225,33 @@ class SamplerConfig:
 
 
 @dataclass
+class Move:
+    """One component kernel of the sweep: step(move, model, chain, subset,
+    eta) updates chain and returns its trace flags, adapting `scale` (its
+    proposal scale or HMC step) at rate eta > 0 during burn-in."""
+
+    name: str
+    step: Callable
+    scale: float | None = None  # None: an exact draw, which never rejects
+    accepted: int = 0
+    proposed: int = 0
+
+
+@dataclass
 class ChainState:
-    """Everything a chain owns: the model point, its RNG, adapted scales,
-    and acceptance counters.  (seed, config) determines the trajectory."""
+    """Everything a chain owns: the model point, its RNG and its moves, with
+    their scales and counters.  (seed, config, moves) fix the trajectory."""
 
     model: ModelState
     rng: np.random.Generator
+    moves: list
     iteration: int = 0
-    step_size: float = 0.02
-    mh_scales: dict = field(default_factory=lambda: dict.fromkeys(ACT_BOUNDS, MH_SCALE))
-    accept_counts: dict = field(default_factory=lambda: {"c": 0, "gamma": 0, "b": 0, "w": 0})
-    proposal_counts: dict = field(default_factory=lambda: {"c": 0, "gamma": 0, "b": 0, "w": 0})
     divergences: int = 0
     energy: float = np.nan  # smooth data energy at the current point
 
     def accept_rates(self) -> dict:
-        return {k: (self.accept_counts[k] / n if (n := self.proposal_counts[k]) else np.nan)
-                for k in self.accept_counts}
+        return {m.name: (m.accepted / m.proposed if m.proposed else np.nan)
+                for m in self.moves if m.scale is not None}
 
 
 FLAG_FIELDS = ("accept_c", "accept_gamma", "accept_b", "accept_w", "divergent")
@@ -323,89 +333,89 @@ def _draw_ig(model, block, state, rng, it, layer=None):
     return x
 
 
-def gibbs_sweep(model: BayesModel, chain: ChainState, cfg: SamplerConfig,
-                adapting: bool) -> dict:
-    """One full sweep in the fixed block order; mutates chain in place.
+def _activation_move(move, model, chain, subset, eta):
+    """mh_step of activation parameter move.name on model.act_conditional."""
+    st, block = chain.model, move.name
+    value = getattr(st.act, block)
+    current = (-chain.energy + model.act_log_prior(block, value, st), chain.energy)
+    value, acc, (_, chain.energy) = mh_step(
+        value, current, lambda v: model.act_conditional(block, v, st, subset),
+        chain.rng, move.scale, *ACT_BOUNDS[block])
+    if acc:
+        st.act = replace(st.act, **{block: value})
+    move.proposed += 1
+    move.accepted += acc
+    if eta:
+        move.scale *= math.exp(eta * (float(acc) - TARGET_ACCEPT_MH))
+    return {f"accept_{block}": acc}
 
-    c, gamma and b move by mh_step on model.act_conditional, the
-    conditionals cond_logdensity reports, in one loop over ACT_BOUNDS (the
-    blocks in sweep order, reflected at their bounds) run
-    scalar_subsweeps times.  chain.energy carries the data energy of the
-    current point between moves, so each move evaluates its candidate
-    only.  The exact scale draws and the weight HMC follow.
 
-    Returns the per-block accept flags for the trace row.  Raises
-    NumericalError with a state dump if a conditional degenerates.
-    """
-    rng = chain.rng
-    st = chain.model
-    it = chain.iteration
-
-    subset = None
-    if cfg.batch_size is not None and cfg.batch_size < model.n_data:
-        subset = rng.choice(model.n_data, size=cfg.batch_size, replace=False)
-    if subset is not None or not np.isfinite(chain.energy):
-        # any block's conditional at its current value carries the energy
-        # of the current point, guarded, on this sweep's rows
-        _, chain.energy = model.act_conditional("c", st.act.c, st, subset)
-
-    eta = (it + 1) ** -0.6 if adapting else 0.0
-    flags = {}
-
-    if cfg.update_activation:
-        for _ in range(cfg.scalar_subsweeps):
-            for block, (lower, upper) in ACT_BOUNDS.items():
-                value = getattr(st.act, block)
-                current = (-chain.energy + model.act_log_prior(block, value, st), chain.energy)
-                value, acc, (_, chain.energy) = mh_step(
-                    value, current, lambda v: model.act_conditional(block, v, st, subset),
-                    rng, chain.mh_scales[block], lower, upper)
-                if acc:
-                    st.act = replace(st.act, **{block: value})
-                chain.proposal_counts[block] += 1
-                chain.accept_counts[block] += acc
-                flags[f"accept_{block}"] = acc
-                if adapting:
-                    chain.mh_scales[block] *= math.exp(eta * (float(acc) - TARGET_ACCEPT_MH))
-
-    # exact scale draws
+def _scale_draws(move, model, chain, subset, eta):
+    """Exact inverse-gamma draws of sigma2, lambda_b and each lambda_l."""
+    st, rng, it = chain.model, chain.rng, chain.iteration
     st.hyper.sigma2 = _draw_ig(model, "sigma2", st, rng, it)
     st.hyper.lam_b = _draw_ig(model, "lambda_b", st, rng, it)
     for l in range(model.net.n_layers):
         st.hyper.lam[l] = _draw_ig(model, "lambda_l", st, rng, it, layer=l)
+    return {}
 
-    if cfg.update_weights and model.net.n_weights > 0:
-        lengths = model.net.weight_lengths
-        l1_scale = np.repeat(st.hyper.lam, lengths)
-        act = st.act
 
-        def energy_grad(qv):
-            # a failed or non-finite evaluation reads as an infinite energy
-            # and a NaN gradient, which the trajectory reports as divergent
-            try:
-                e, gw = model.energy_grad(split_weights(qv, lengths), act, subset)
-            except NumericalError:
-                return np.inf, np.full(qv.shape, np.nan)
-            return (e if np.isfinite(e) else np.inf), concat_weights(gw)
+def _weight_move(move, model, chain, subset, eta, n_leapfrog):
+    """nshmc_step of the flat weight vector; a burn-in divergence halves the step."""
+    if model.net.n_weights == 0:
+        return {}
+    st, lengths = chain.model, model.net.weight_lengths
 
-        q1, info = nshmc_step(
-            concat_weights(st.w), rng, energy_grad, l1_scale,
-            chain.step_size, cfg.leapfrog_steps)
-        if info["accepted"]:
-            st.w = split_weights(q1, lengths)
-            chain.energy = info["energy"]
-        chain.proposal_counts["w"] += 1
-        chain.accept_counts["w"] += info["accepted"]
-        chain.divergences += info["divergent"]
-        flags["accept_w"] = info["accepted"]
-        flags["divergent"] = info["divergent"]
-        if adapting:
-            if info["divergent"]:
-                chain.step_size *= 0.5
-            else:
-                chain.step_size *= math.exp(
-                    eta * (info["accept_prob"] - TARGET_ACCEPT_HMC))
+    def energy_grad(qv):
+        # a failed or non-finite evaluation reads as an infinite energy
+        # and a NaN gradient, which the trajectory reports as divergent
+        try:
+            e, gw = model.energy_grad(split_weights(qv, lengths), st.act, subset)
+        except NumericalError:
+            return np.inf, np.full(qv.shape, np.nan)
+        return (e if np.isfinite(e) else np.inf), concat_weights(gw)
 
+    q1, info = nshmc_step(concat_weights(st.w), chain.rng, energy_grad,
+                          np.repeat(st.hyper.lam, lengths), move.scale, n_leapfrog)
+    if info["accepted"]:
+        st.w = split_weights(q1, lengths)
+        chain.energy = info["energy"]
+    move.proposed += 1
+    move.accepted += info["accepted"]
+    chain.divergences += info["divergent"]
+    if eta:
+        move.scale *= (0.5 if info["divergent"]
+                       else math.exp(eta * (info["accept_prob"] - TARGET_ACCEPT_HMC)))
+    return {"accept_w": info["accepted"], "divergent": info["divergent"]}
+
+
+def default_moves(cfg: SamplerConfig) -> list:
+    """The sweep's moves in order: c, gamma and b (the same three moves
+    scalar_subsweeps times over), the exact scale draws, the weight HMC."""
+    act = [Move(block, _activation_move, MH_SCALE) for block in ACT_BOUNDS]
+    return [*act * cfg.scalar_subsweeps, Move("scales", _scale_draws),
+            Move("w", partial(_weight_move, n_leapfrog=cfg.leapfrog_steps), cfg.step_size)]
+
+
+def gibbs_sweep(model: BayesModel, chain: ChainState, cfg: SamplerConfig,
+                adapting: bool) -> dict:
+    """One sweep: each of chain.moves in turn, on one row subset when
+    cfg.batch_size is set; mutates chain.  chain.energy carries the current
+    point's data energy between moves, so each evaluates its candidate
+    only.  Returns the trace flags; raises NumericalError with a state dump
+    if a conditional degenerates."""
+    subset = None
+    if cfg.batch_size is not None and cfg.batch_size < model.n_data:
+        subset = chain.rng.choice(model.n_data, size=cfg.batch_size, replace=False)
+    if subset is not None or not np.isfinite(chain.energy):
+        # any block's conditional at its current value carries the energy
+        # of the current point, guarded, on this sweep's rows
+        _, chain.energy = model.act_conditional("c", chain.model.act.c, chain.model, subset)
+
+    eta = (chain.iteration + 1) ** -0.6 if adapting else 0.0
+    flags = {}
+    for move in chain.moves:
+        flags.update(move.step(move, model, chain, subset, eta))
     chain.iteration += 1
     return flags
 
@@ -414,15 +424,16 @@ def gibbs_sweep(model: BayesModel, chain: ChainState, cfg: SamplerConfig,
 
 
 def run_chain(model: BayesModel, cfg: SamplerConfig, rng: np.random.Generator,
-              chain_id: int = 0, callback=None) -> ChainTrace:
+              chain_id: int = 0, callback=None, moves=default_moves) -> ChainTrace:
     """Drive one chain for cfg.n_sweeps sweeps and return its trace.
 
+    moves(cfg) gives the chain's own list of moves, the sweep in order.
     callback(sweep, chain) runs after every sweep (metrics hooks); it must
     not touch chain.rng or the trajectory changes.
     """
     cfg.validate()
     st = init_state(model.net, rng)
-    chain = ChainState(model=st, rng=rng, step_size=cfg.step_size)
+    chain = ChainState(model=st, rng=rng, moves=moves(cfg))
     trace = ChainTrace(chain_id, model.net.n_layers, model.net.n_weights)
 
     for sweep in range(cfg.n_sweeps):
@@ -440,21 +451,21 @@ def run_chain(model: BayesModel, cfg: SamplerConfig, rng: np.random.Generator,
     trace.final_state = st.copy()
     trace.accept_rates = chain.accept_rates()
     trace.divergences = chain.divergences
-    trace.step_size = chain.step_size
-    trace.mh_scales = dict(chain.mh_scales)
     return trace.finalize()
 
 
-def run_chains(model: BayesModel, cfg: SamplerConfig, seed: int, callback=None) -> list:
+def run_chains(model: BayesModel, cfg: SamplerConfig, seed: int, callback=None,
+               moves=default_moves) -> list:
     """Independent chains from one seed: per-chain RNG streams are spawned
-    from a root SeedSequence so chain k is reproducible in isolation."""
+    from a root SeedSequence so chain k is reproducible in isolation, and
+    each chain builds its own moves(cfg), so no adapted scale is shared."""
     cfg.validate()
     root = np.random.SeedSequence(seed)
     traces = []
     for k, child in enumerate(root.spawn(cfg.n_chains)):
         rng = np.random.Generator(np.random.PCG64(child))
         cb = (lambda sweep, chain, k=k: callback(k, sweep, chain)) if callback else None
-        traces.append(run_chain(model, cfg, rng, chain_id=k, callback=cb))
+        traces.append(run_chain(model, cfg, rng, chain_id=k, callback=cb, moves=moves))
     return traces
 
 

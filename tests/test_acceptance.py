@@ -16,7 +16,7 @@ import pytest
 
 from oracles import ks_distance, laplace_cdf
 
-from gibbsnn.activations import ActivationParams, mmelu
+from gibbsnn.activations import ACT_BOUNDS, ActivationParams, mmelu
 from gibbsnn.baseline import BaselineConfig, evaluate, train_baseline
 from gibbsnn.cli import EXIT_OK, main
 from gibbsnn.data import load_cifar10, load_idx, split, synth_blobs
@@ -26,6 +26,7 @@ from gibbsnn.network import Network, NetworkSpec, act, dense, softmax_layer
 from gibbsnn.presets import cnn1, mlp
 from gibbsnn.samplers import (
     SamplerConfig,
+    default_moves,
     estimate,
     nshmc_step,
     run_chains,
@@ -155,9 +156,11 @@ class TestAcceptance:
         model = BayesModel(net, X, y, fixed=FixedHypers(delta=delta, mu=mu),
                            loss_kind="squared-error")
         cfg = SamplerConfig(n_sweeps=100000, burn_in=2000, n_chains=1,
-                            step_size=0.1, leapfrog_steps=6,
-                            update_activation=False)
-        samples = run_chains(model, cfg, seed=0)[0].w_history
+                            step_size=0.1, leapfrog_steps=6)
+        # the net has no activation layer, so its moves are left out
+        weight_and_scales = lambda cfg: [m for m in default_moves(cfg)
+                                         if m.name not in ACT_BOUNDS]
+        samples = run_chains(model, cfg, seed=0, moves=weight_and_scales)[0].w_history
 
         G = np.concatenate([X, np.ones((20, 1))], axis=1)
         GtG = G.T @ G

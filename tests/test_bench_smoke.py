@@ -30,6 +30,21 @@ def test_workload_runs_and_checks(workload):
 
 
 
+def test_sweep_spans_fire():
+    """The tracer splits a sweep at its first samplers.sample_inverse_gamma
+    call and its samplers.nshmc_step call, which it wraps as module
+    attributes: the moves must call both through those names for the three
+    block spans to read more than 0."""
+    proc = subprocess.run(
+        [sys.executable, os.path.join("bench", "run.py"), "--workload", "toy-linear",
+         "--seed", "0", "--seconds", "0.1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    metrics = json.loads(proc.stdout.strip().splitlines()[-1])["metrics"]
+    for name in ("samplers.mh_block_ms", "samplers.ig_block_ms", "samplers.hmc_ms"):
+        assert metrics[name]["value"] > 0, name
+
+
 @pytest.mark.parametrize("kind", ("sampler", "baseline"))
 def test_trace_hooks_install(kind, monkeypatch):
     """`--trace 1` wraps names the rounds above never touch, such as

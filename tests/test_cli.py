@@ -271,7 +271,6 @@ class TestConfigSections:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "unknown keys ['update_weights']" in err and "'scalar_subsweeps'" in err
-        assert "update_activation" not in err
 
     def test_omitted_sections_are_the_dataclass_defaults(self):
         assert cfgmod.sampler_config(None) == SamplerConfig()
@@ -485,6 +484,26 @@ class TestEvalCommand:
         cfg = _write(tmp_path / "eval.json", doc)
         code, _ = _run(["eval", "--config", cfg])
         assert code == EXIT_IO
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["state"]["weights"].pop(),
+        lambda doc: doc["state"]["weights"][-1].pop(),
+        lambda doc: doc["network"].update(layers=[]),
+    ], ids=["one-vector-fewer", "last-vector-short", "no-layers"])
+    def test_checkpoint_not_fitting_its_network(self, train_run, tmp_path, capsys, edit):
+        """A trained mlp's checkpoint with one weight vector fewer, its last
+        vector one value short, or no layers is a malformed file, not a
+        traceback or an evaluation of another model."""
+        _, out, _ = train_run
+        doc = json.loads((out / "checkpoint.json").read_text())
+        edit(doc)
+        bad = _write(tmp_path / "edited.json", doc)
+        cfg = _write(tmp_path / "eval.json", {"checkpoint": bad,
+                                              "dataset": _train_doc()["dataset"],
+                                              "loss": "squared-error"})
+        code, _ = _run(["eval", "--config", cfg])
+        assert code == EXIT_IO
+        assert bad in capsys.readouterr().err
 
 
 class TestDiagCommand:

@@ -167,8 +167,10 @@ class TestBoundsHaveOneDefinition:
             return mh_step(value, current, evaluate, rng, scale, lower, upper)
 
         monkeypatch.setattr(samplers, "mh_step", spy)
-        chain = samplers.ChainState(model=init_state(net, rng), rng=rng)
-        samplers.gibbs_sweep(model, chain, SamplerConfig(scalar_subsweeps=2), adapting=False)
+        cfg = SamplerConfig(scalar_subsweeps=2)
+        chain = samplers.ChainState(model=init_state(net, rng), rng=rng,
+                                    moves=samplers.default_moves(cfg))
+        samplers.gibbs_sweep(model, chain, cfg, adapting=False)
         assert seen == [ACT_BOUNDS[k] for k in ("c", "gamma", "b")] * 2
         for name, values in self.VALUES.items():
             for v in values:

@@ -23,6 +23,7 @@ from gibbsnn.network import Network, NetworkSpec, act, dense
 from gibbsnn.samplers import (
     ChainState,
     SamplerConfig,
+    default_moves,
     estimate,
     gibbs_sweep,
     mh_step,
@@ -33,6 +34,11 @@ from gibbsnn.samplers import (
     sample_inverse_gamma,
     soft_threshold,
 )
+
+
+def _without(*names):
+    """A moves factory: the default moves but those named."""
+    return lambda cfg: [m for m in default_moves(cfg) if m.name not in names]
 
 
 def _prior_only_model():
@@ -293,15 +299,14 @@ class TestNsHmc:
 class TestWeightMove:
     """The weight move inside gibbs_sweep, on the full batch."""
 
-    def _chain(self, blob_data, tiny_net, **cfg_kw):
+    def _chain(self, blob_data, tiny_net, moves=default_moves, **cfg_kw):
         train, _ = blob_data
         model = BayesModel(tiny_net, train.inputs, train.labels,
                            loss_kind="squared-error")
         cfg = SamplerConfig(n_sweeps=10, burn_in=5, n_chains=1, leapfrog_steps=4,
                             **cfg_kw)
         rng = np.random.default_rng(14)
-        chain = ChainState(model=init_state(tiny_net, rng), rng=rng,
-                           step_size=cfg.step_size)
+        chain = ChainState(model=init_state(tiny_net, rng), rng=rng, moves=moves(cfg))
         return model, cfg, chain
 
     def test_sweep_data_term_calls(self, blob_data, tiny_net, monkeypatch):
@@ -324,8 +329,8 @@ class TestWeightMove:
         """Each of the 3 x scalar_subsweeps Metropolis moves is one
         mh_step on the model's act_conditional, which evaluates only the
         candidate."""
-        model, cfg, chain = self._chain(blob_data, tiny_net, scalar_subsweeps=2,
-                                        update_weights=False)
+        model, cfg, chain = self._chain(blob_data, tiny_net, _without("w"),
+                                        scalar_subsweeps=2)
         gibbs_sweep(model, chain, cfg, adapting=True)  # records chain.energy
         calls = {"act_conditional": [], "mh_step": 0}
         orig_cond, orig_mh = model.act_conditional, samplers.mh_step
@@ -347,7 +352,7 @@ class TestWeightMove:
                                                      monkeypatch):
         """A divergent move, here one whose gradient fails at the current
         point, leaves the weights and the recorded energy as they were."""
-        model, cfg, chain = self._chain(blob_data, tiny_net, update_activation=False)
+        model, cfg, chain = self._chain(blob_data, tiny_net, _without("c", "gamma", "b"))
         gibbs_sweep(model, chain, cfg, adapting=False)
         e_before = chain.energy
         w_before = [wi.copy() for wi in chain.model.w]
@@ -361,6 +366,40 @@ class TestWeightMove:
         assert chain.energy == e_before
         for a, b in zip(chain.model.w, w_before):
             np.testing.assert_array_equal(a, b)
+
+
+class TestMoves:
+    """The default move list, as the sweep and bench/run.py read it."""
+
+    @staticmethod
+    def _model(blob_data, tiny_net):
+        train, _ = blob_data
+        return BayesModel(tiny_net, train.inputs, train.labels, loss_kind="squared-error")
+
+    def test_scalar_subsweeps_share_their_moves(self, blob_data, tiny_net):
+        """scalar_subsweeps=2 lists c, gamma and b twice as the same three
+        moves: one sweep proposes each twice, on one adapted scale each."""
+        model = self._model(blob_data, tiny_net)
+        cfg = SamplerConfig(scalar_subsweeps=2, leapfrog_steps=2)
+        rng = np.random.default_rng(16)
+        chain = ChainState(model=init_state(tiny_net, rng), rng=rng, moves=default_moves(cfg))
+        gibbs_sweep(model, chain, cfg, adapting=True)
+        act = {id(m): m for m in chain.moves if m.name in ("c", "gamma", "b")}
+        assert sorted(m.name for m in act.values()) == ["b", "c", "gamma"]
+        for m in act.values():
+            assert m.proposed == 2 and m.scale != samplers.MH_SCALE, m
+        assert list(chain.accept_rates()) == ["c", "gamma", "b", "w"]
+
+    def test_trace_contract_of_the_benchmark(self, blob_data, tiny_net):
+        """bench/run.py reads each trace's accept rates of c, gamma, b and
+        w, its divergence count, and the five flag columns of its rows."""
+        cfg = SamplerConfig(n_sweeps=20, burn_in=5, leapfrog_steps=2)
+        for t in run_chains(self._model(blob_data, tiny_net), cfg, seed=24):
+            assert set(t.accept_rates) == {"c", "gamma", "b", "w"}
+            assert all(0.0 <= r <= 1.0 for r in t.accept_rates.values()), t.accept_rates
+            assert isinstance(t.divergences, int) and t.divergences >= 0
+            assert t.header[-5:] == ["accept_c", "accept_gamma", "accept_b", "accept_w",
+                                     "divergent"]
 
 
 class TestSamplerConfig:
@@ -401,10 +440,9 @@ class TestGibbsSweepPrior:
     def test_lambda_b_conditional_frozen_b(self):
         """b frozen at 1: lambda_b draws are iid IG(1.001, 1.001)."""
         net, model = _prior_only_model()
-        cfg = SamplerConfig(n_sweeps=10000, burn_in=0, n_chains=1, adapt=False,
-                            update_activation=False, update_weights=False)
+        cfg = SamplerConfig(n_sweeps=10000, burn_in=0, n_chains=1, adapt=False)
         rng = np.random.default_rng(13)
-        trace = run_chain(model, cfg, rng)
+        trace = run_chain(model, cfg, rng, moves=_without("c", "gamma", "b", "w"))
         lam_b = trace.series("lambda_b")
         d = ks_distance(lam_b, lambda x: inverse_gamma_cdf(x, 1.001, 1.001))
         assert d < 0.02, f"KS {d}"
@@ -412,10 +450,9 @@ class TestGibbsSweepPrior:
     def test_sigma2_conditional_frozen_gamma(self):
         """gamma frozen at 0: sigma2 draws are iid IG(0.501, 1e-3)."""
         net, model = _prior_only_model()
-        cfg = SamplerConfig(n_sweeps=8000, burn_in=0, n_chains=1, adapt=False,
-                            update_activation=False, update_weights=False)
+        cfg = SamplerConfig(n_sweeps=8000, burn_in=0, n_chains=1, adapt=False)
         rng = np.random.default_rng(14)
-        trace = run_chain(model, cfg, rng)
+        trace = run_chain(model, cfg, rng, moves=_without("c", "gamma", "b", "w"))
         s2 = trace.series("sigma2")
         d = ks_distance(s2, lambda x: inverse_gamma_cdf(x, 0.501, 0.001))
         assert d < 0.02, f"KS {d}"
@@ -505,8 +542,7 @@ class TestMiniBatch:
         cfg = SamplerConfig(n_sweeps=10, burn_in=5, n_chains=1, leapfrog_steps=3,
                             batch_size=k)
         rng = np.random.default_rng(22)
-        chain = ChainState(model=init_state(tiny_net, rng), rng=rng,
-                           step_size=cfg.step_size)
+        chain = ChainState(model=init_state(tiny_net, rng), rng=rng, moves=default_moves(cfg))
         seen = []
         for name in ("act_conditional", "energy_grad"):
             def recorded(*args, _orig=getattr(model, name), **kwargs):
@@ -540,16 +576,16 @@ class TestMiniBatch:
 
 
 class TestEstimate:
-    def _traces(self, blob_data, tiny_net, seed, **cfg_kw):
+    def _traces(self, blob_data, tiny_net, seed, moves=default_moves, **cfg_kw):
         train, _ = blob_data
         model = BayesModel(tiny_net, train.inputs, train.labels,
                            loss_kind="squared-error")
         cfg_kw = {"n_chains": 1, "leapfrog_steps": 2, **cfg_kw}
-        return run_chains(model, SamplerConfig(**cfg_kw), seed=seed)
+        return run_chains(model, SamplerConfig(**cfg_kw), seed=seed, moves=moves)
 
     def test_frozen_blocks_constant(self, blob_data, tiny_net):
-        traces = self._traces(blob_data, tiny_net, 3, n_sweeps=50, burn_in=0,
-                              update_activation=False, update_weights=False)
+        traces = self._traces(blob_data, tiny_net, 3, _without("c", "gamma", "b", "w"),
+                              n_sweeps=50, burn_in=0)
         st = estimate(traces)
         assert (st.act.c, st.act.gamma, st.act.b) == (0.5, 0.0, 1.0)
         for got, start in zip(st.w, traces[0].final_state.w):
