@@ -81,8 +81,9 @@ def load_checkpoint(path) -> dict:
     estimate's ModelState), iteration, provenance, chains (a ModelState
     per chain) and activation_name.  Keys that older files hold beyond these,
     such as a chain's rng_state, are ignored.  A network that does not
-    compile or give class_count outputs, or weights that do not fit it,
-    raise FormatError.
+    compile or give class_count outputs, activation layers other than
+    activation_name, or weights or layer scales (lam) that do not fit the
+    network raise FormatError.
     """
     with open(path) as fh:
         raw = fh.read()
@@ -109,10 +110,17 @@ def load_checkpoint(path) -> dict:
         raise FormatError(f"{path}: malformed checkpoint: {exc!r}") from None
     if (shape := (net.spec.input_shape, *net.layer_shapes)[-1]) != (net.spec.class_count,):
         raise FormatError(f"{path}: network outputs {shape}, not class_count values")
-    want = [(k,) for k in net.weight_lengths]
+    if net.activation_name not in (None, name):
+        raise FormatError(f"{path}: the activation layers are {net.activation_name!r}, "
+                          f"but activation_name is {name!r}")
     named = [("state", out["state"]), *((f"chain {i}", c) for i, c in enumerate(out["chains"]))]
     for where, st in named:
-        if (got := [wi.shape for wi in st.w]) != want:
-            raise FormatError(f"{path}: {where} weight shapes {got}, network needs {want}")
+        try:
+            net.check_weights(st.w)
+        except ShapeError as exc:
+            raise FormatError(f"{path}: {where} {exc}") from None
+        if st.hyper is not None and st.hyper.lam.shape != (net.n_layers,):
+            raise FormatError(f"{path}: {where} has lam shaped {st.hyper.lam.shape}, "
+                              f"network has {net.n_layers} weighted layers")
     return out
 

@@ -23,7 +23,15 @@ Conventions
   walk the table; backward stops at the first weighted layer, so the
   gradient with respect to the network input is never computed.
 * Per-layer weights live in flat vectors (kernel then bias); the list of
-  those vectors is the weight set W^1..W^L referenced by the priors.
+  those vectors is the weight set W^1..W^L referenced by the priors.  Every
+  pass checks the list against the network's vector lengths.
+* Reductions along a short axis go by column: numpy dispatches its inner
+  loop once per row there, so a 2-class softmax or a bias gradient over
+  1500 rows paid 1500 dispatches for a few values each.  The softmax's
+  _row_max / _row_sum take one op per column (np.max / np.sum from 8
+  values a row, which numpy sums pairwise); the bias gradients'
+  _column_sum is one einsum (np.sum for one column or a non-C layout).
+  Each gives the bits of the reduction it replaces, so chains do not move.
 * Gradients at activation kinks and pooling ties follow the conventions of
   the activations module (subgradient 0; first maximum wins a tie).
 """
@@ -185,10 +193,17 @@ class Network:
         below = any(l.kind == "activation" for l in spec.layers[:first])
         self._backward_stop = (first, 0 if below else first)
         self.weight_lengths = [math.prod(k) + math.prod(b) for k, b in self.weight_shapes]  # K_l
+        self._vector_shapes = [(k,) for k in self.weight_lengths]
         self.n_weights = int(sum(self.weight_lengths))
         self.n_layers = len(self.weight_lengths)  # L in the prior
 
     # -- weights ----------------------------------------------------------
+
+    def check_weights(self, w: list):
+        """Raise ShapeError unless w holds one flat vector per weighted
+        layer, of that layer's length."""
+        if (got := [np.shape(wi) for wi in w]) != self._vector_shapes:
+            raise ShapeError(f"weight shapes {got}, network needs {self._vector_shapes}")
 
     def init_weights(self, rng: np.random.Generator) -> list:
         """He-style init: kernel entries N(0, 2/fan_in), biases 0."""
@@ -234,6 +249,7 @@ class Network:
     def _run(self, w, act_params, h, record: bool, dropout: dict | None = None):
         # (output, each layer's backward when recording); dropout maps layer
         # index -> mask applied to that layer's output (scaled by 1/keep)
+        self.check_weights(w)
         backwards = []
         for i, (kind, index, forward) in enumerate(self._table):
             h, backward = forward(h, None if index is None else w[index], act_params, record)
@@ -321,7 +337,7 @@ def _dense(layer, shape, where, *_):
         W = flat[:nk].reshape(n_in, n_out)
         def backward(g, input_grad, param_grads):
             gW = h.reshape(-1, n_in).T @ g.reshape(-1, n_out)
-            return (g @ W.T if input_grad else g), np.concatenate([gW.ravel(), g.sum(axis=0)])
+            return (g @ W.T if input_grad else g), np.concatenate([gW.ravel(), _column_sum(g)])
         return h @ W + flat[nk:], (backward if record else None)
 
     return (n_out,), ((n_in, n_out), (n_out,)), forward
@@ -390,10 +406,10 @@ def _softmax_output(layer, shape, where, i, net):
         raise ShapeError(f"{where}: expected ({net.spec.class_count},) logits, got {shape}")
 
     def forward(h, flat, act_params, record):
-        e = np.exp(h - h.max(axis=-1, keepdims=True))
-        p = e / e.sum(axis=-1, keepdims=True)
+        e = np.exp(h - _row_max(h))
+        p = e / _row_sum(e)
         def backward(g, input_grad, param_grads):
-            return p * (g - np.sum(g * p, axis=-1, keepdims=True)), None
+            return p * (g - _row_sum(g * p)), None
         return p, (backward if record else None)
 
     return shape, None, forward
@@ -413,6 +429,46 @@ def _prepare_targets(y, n, out_shape, single):
     if y.shape != (n,) + tuple(out_shape):
         raise ShapeError(f"targets shaped {y.shape}, expected {(n,) + tuple(out_shape)}")
     return y
+
+
+# -- short-axis reductions (see Conventions) -----------------------------------
+# Each gives the bits of the numpy reduction it names, save a NaN's sign bit
+# where NaNs of both signs meet: which one survives follows operand order.
+
+_SHORT_ROW = 8  # from 8 values on, np.sum adds a row pairwise
+
+
+def _row_max(h):
+    """h.max(axis=-1, keepdims=True) of a 2-D h.  Rows of _SHORT_ROW values
+    or more fall back to h.max."""
+    if h.shape[1] >= _SHORT_ROW:
+        return h.max(axis=-1, keepdims=True)
+    out = h[:, :1].copy()
+    for j in range(1, h.shape[1]):
+        np.maximum(out, h[:, j : j + 1], out=out)
+    return out
+
+
+def _row_sum(h):
+    """h.sum(axis=-1, keepdims=True) of a 2-D h: numpy adds a short row left
+    to right from +0.0 (so a row of -0.0 sums to +0.0).  Rows of _SHORT_ROW
+    values or more, which numpy sums pairwise, fall back to h.sum."""
+    if h.shape[1] >= _SHORT_ROW:
+        return h.sum(axis=-1, keepdims=True)
+    out = h[:, :1] + 0.0
+    for j in range(1, h.shape[1]):
+        out += h[:, j : j + 1]
+    return out
+
+
+def _column_sum(g):
+    """g.sum(axis=0) of a 2-D g: einsum adds each column top to bottom, as
+    numpy does for a C-contiguous g of two or more columns.  One column, or
+    another memory layout, which numpy may sum pairwise, falls back to
+    g.sum."""
+    if g.shape[1] < 2 or not g.flags.c_contiguous:
+        return g.sum(axis=0)
+    return np.einsum("ij->j", g)
 
 
 def _im2col(xp):
@@ -457,7 +513,7 @@ def _conv_backward(xp, W, g, input_grad=True):
             for di in range(KERNEL):
                 for dj in range(KERNEL):
                     gxp[s : s + CONV_BLOCK, di : di + H, dj : dj + Wd] += gcol[:, :, :, di, dj]
-    gb = g.reshape(-1, cout).sum(axis=0)
+    gb = _column_sum(g.reshape(-1, cout))
     gx = gxp[:, 1:-1, 1:-1, :] if input_grad else None
     return gW.reshape(cout, KERNEL, KERNEL, cin).transpose(0, 3, 1, 2), gb, gx
 

@@ -485,15 +485,31 @@ class TestEvalCommand:
         code, _ = _run(["eval", "--config", cfg])
         assert code == EXIT_IO
 
+    @staticmethod
+    def _name_activations(doc, name):
+        for layer in doc["network"]["layers"]:
+            if layer["kind"] == "activation":
+                layer["activation"] = name
+
     @pytest.mark.parametrize("edit", [
         lambda doc: doc["state"]["weights"].pop(),
         lambda doc: doc["state"]["weights"][-1].pop(),
         lambda doc: doc["network"].update(layers=[]),
-    ], ids=["one-vector-fewer", "last-vector-short", "no-layers"])
+        lambda doc: doc["state"]["hyper"]["lam"].pop(),
+        lambda doc: doc["chains"][1]["state"]["hyper"]["lam"].append(1.0),
+        lambda doc: TestEvalCommand._name_activations(doc, "foo"),
+        lambda doc: TestEvalCommand._name_activations(doc, "relu"),
+        lambda doc: (TestEvalCommand._name_activations(doc, "foo"),
+                     doc.update(activation_name="foo")),
+    ], ids=["one-vector-fewer", "last-vector-short", "no-layers", "one-scale-fewer",
+            "chain-scale-extra", "unknown-activation", "activation-not-its-name",
+            "unknown-activation-name"])
     def test_checkpoint_not_fitting_its_network(self, train_run, tmp_path, capsys, edit):
         """A trained mlp's checkpoint with one weight vector fewer, its last
-        vector one value short, or no layers is a malformed file, not a
-        traceback or an evaluation of another model."""
+        vector one value short, no layers, a layer scale (lam) too few or too
+        many, or activation layers naming an unknown activation or one other
+        than its activation_name is a malformed file, not a traceback or an
+        evaluation of another model."""
         _, out, _ = train_run
         doc = json.loads((out / "checkpoint.json").read_text())
         edit(doc)

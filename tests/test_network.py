@@ -173,6 +173,23 @@ class TestForward:
 
 
 class TestWeightLayout:
+    @pytest.mark.parametrize("method", ["forward", "loss", "backward"])
+    @pytest.mark.parametrize("edit, got", [
+        (lambda w: w[:-1], "[(16,)]"),
+        (lambda w: w + [np.zeros(3)], "[(16,), (10,), (3,)]"),
+        (lambda w: [w[0], w[1][:-1]], "[(16,), (9,)]"),
+        (lambda w: [w[0].reshape(4, 4), w[1]], "[(4, 4), (10,)]"),
+    ], ids=["one-vector-fewer", "one-vector-more", "last-vector-short", "kernel-not-flat"])
+    def test_weights_not_fitting_rejected(self, method, edit, got):
+        """Every pass refuses a weight list that does not fit the network,
+        instead of broadcasting a short last vector as the bias."""
+        net = _dense_net(3, 2, hidden=(4,))
+        w = edit(net.init_weights(np.random.default_rng(0)))
+        args = (np.ones((2, 3)),) if method == "forward" else (np.ones((2, 3)), np.array([0, 1]))
+        with pytest.raises(ShapeError) as err:
+            getattr(net, method)(w, ActivationParams(), *args)
+        assert str(err.value) == f"weight shapes {got}, network needs [(16,), (10,)]"
+
     def test_split_concat_round_trip(self):
         net = _dense_net(3, 2, hidden=(4, 5))
         rng = np.random.default_rng(2)
@@ -655,3 +672,82 @@ class TestPresets:
         spec, _ = mlp(6, 2, hidden=(5,))
         again = NetworkSpec.from_dict(spec.to_dict())
         assert again.to_dict() == spec.to_dict()
+
+
+def _draw(rng, shape, pool):
+    # normal values with entries of `pool` mixed in; pool None is all normal
+    x = rng.normal(size=shape)
+    if pool is not None:
+        x = np.where(rng.random(shape) < 0.5, rng.choice(np.array(pool), size=shape), x)
+    return x
+
+
+# +inf and -inf come in separate pools: where both meet in one sum they make a
+# NaN whose sign bit follows the order of the adds (test_mixed_infinities)
+_POOLS = {"normal": None, "signed-zeros": [0.0, -0.0], "all-negative-zero": [-0.0],
+          "+inf-nan": [0.0, -0.0, np.inf, np.nan], "-inf-nan": [0.0, -0.0, -np.inf, np.nan]}
+
+
+class TestShortReductions:
+    """The column-wise helpers are bit-equal to the numpy reductions they
+    replace, whatever the width and whether or not they fall back."""
+
+    @pytest.mark.parametrize("pool", list(_POOLS))
+    @pytest.mark.parametrize("n", [1, 1500])
+    @pytest.mark.parametrize("width", range(1, 10))
+    def test_row_reductions(self, width, n, pool):
+        rng = np.random.default_rng(width * 7 + n)
+        h = _draw(rng, (n, width), _POOLS[pool])
+        if pool == "all-negative-zero":
+            h = np.full((n, width), -0.0)
+        with np.errstate(invalid="ignore"):
+            assert (network_module._row_max(h).tobytes()
+                    == h.max(axis=-1, keepdims=True).tobytes())
+            assert (network_module._row_sum(h).tobytes()
+                    == h.sum(axis=-1, keepdims=True).tobytes())
+
+    @pytest.mark.parametrize("pool", list(_POOLS))
+    @pytest.mark.parametrize("n", [1, 1500])
+    @pytest.mark.parametrize("k", [1, 2, 8, 64, 128])
+    def test_column_sum(self, k, n, pool):
+        rng = np.random.default_rng(k * 11 + n)
+        g = _draw(rng, (n, k), _POOLS[pool])
+        if pool == "all-negative-zero":
+            g = np.full((n, k), -0.0)
+        with np.errstate(invalid="ignore"):
+            for layout in (g, np.asfortranarray(g)):
+                assert network_module._column_sum(layout).tobytes() == layout.sum(axis=0).tobytes()
+
+    def test_mixed_infinities(self):
+        """Where +inf and -inf meet, every result that is not NaN is
+        bit-equal and every NaN is NaN on both sides."""
+        rng = np.random.default_rng(3)
+        pool = [0.0, -0.0, np.inf, -np.inf, np.nan]
+        with np.errstate(invalid="ignore"):
+            pairs = [(network_module._row_sum(h), h.sum(axis=-1, keepdims=True))
+                     for h in (_draw(rng, (1500, k), pool) for k in range(1, 10))]
+            pairs += [(network_module._column_sum(g), g.sum(axis=0))
+                      for g in (_draw(rng, (1500, k), pool) for k in (2, 8, 64, 128))]
+        for got, want in pairs:
+            assert np.array_equal(np.isnan(got), np.isnan(want))
+            keep = ~np.isnan(want)
+            assert got[keep].tobytes() == want[keep].tobytes()
+
+    @pytest.mark.parametrize("classes", [2, 10])
+    def test_softmax_matches_max_sum_formulation(self, classes):
+        """The softmax forward and backward on a (1500, classes) batch are
+        bit-equal to the np.max / np.sum formulation."""
+        rng = np.random.default_rng(classes)
+        net = Network(NetworkSpec((dense(3, classes), softmax_layer()), (3,), classes))
+        h = rng.normal(scale=20.0, size=(1500, classes))
+        h[:10] = 0.0  # ties
+        h[10:20, 0] = -0.0
+        g = rng.normal(size=(1500, classes))
+        g[:30] = -0.0
+        _, _, forward = net._table[-1]
+        p, backward = forward(h, None, None, True)
+        e = np.exp(h - h.max(axis=-1, keepdims=True))
+        want = e / e.sum(axis=-1, keepdims=True)
+        assert p.tobytes() == want.tobytes()
+        got, _ = backward(g, True, True)
+        assert got.tobytes() == (want * (g - np.sum(g * want, axis=-1, keepdims=True))).tobytes()
