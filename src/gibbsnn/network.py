@@ -202,7 +202,7 @@ class Network:
     def check_weights(self, w: list):
         """Raise ShapeError unless w holds one flat vector per weighted
         layer, of that layer's length."""
-        if (got := [np.shape(wi) for wi in w]) != self._vector_shapes:
+        if (got := [wi.shape for wi in w]) != self._vector_shapes:
             raise ShapeError(f"weight shapes {got}, network needs {self._vector_shapes}")
 
     def init_weights(self, rng: np.random.Generator) -> list:

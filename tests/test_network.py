@@ -674,18 +674,18 @@ class TestPresets:
         assert again.to_dict() == spec.to_dict()
 
 
-def _draw(rng, shape, pool):
-    # normal values with entries of `pool` mixed in; pool None is all normal
-    x = rng.normal(size=shape)
-    if pool is not None:
-        x = np.where(rng.random(shape) < 0.5, rng.choice(np.array(pool), size=shape), x)
-    return x
+def _draw(rng, shape, pool, share=0.5):
+    # normal values with about `share` of the entries drawn from `pool`
+    special = rng.choice(np.array(pool), size=shape)
+    return np.where(rng.random(shape) < share, special, rng.normal(size=shape))
 
 
-# +inf and -inf come in separate pools: where both meet in one sum they make a
-# NaN whose sign bit follows the order of the adds (test_mixed_infinities)
-_POOLS = {"normal": None, "signed-zeros": [0.0, -0.0], "all-negative-zero": [-0.0],
-          "+inf-nan": [0.0, -0.0, np.inf, np.nan], "-inf-nan": [0.0, -0.0, -np.inf, np.nan]}
+# (pool, share) per case.  +inf and -inf come in separate pools: where both
+# meet in one sum they make a NaN whose sign bit follows the order of the
+# adds (test_mixed_infinities)
+_POOLS = {"normal": ([0.0], 0.0), "signed-zeros": ([0.0, -0.0], 0.5),
+          "all-negative-zero": ([-0.0], 1.0), "+inf-nan": ([0.0, -0.0, np.inf, np.nan], 0.5),
+          "-inf-nan": ([0.0, -0.0, -np.inf, np.nan], 0.5)}
 
 
 class TestShortReductions:
@@ -697,9 +697,7 @@ class TestShortReductions:
     @pytest.mark.parametrize("width", range(1, 10))
     def test_row_reductions(self, width, n, pool):
         rng = np.random.default_rng(width * 7 + n)
-        h = _draw(rng, (n, width), _POOLS[pool])
-        if pool == "all-negative-zero":
-            h = np.full((n, width), -0.0)
+        h = _draw(rng, (n, width), *_POOLS[pool])
         with np.errstate(invalid="ignore"):
             assert (network_module._row_max(h).tobytes()
                     == h.max(axis=-1, keepdims=True).tobytes())
@@ -711,9 +709,7 @@ class TestShortReductions:
     @pytest.mark.parametrize("k", [1, 2, 8, 64, 128])
     def test_column_sum(self, k, n, pool):
         rng = np.random.default_rng(k * 11 + n)
-        g = _draw(rng, (n, k), _POOLS[pool])
-        if pool == "all-negative-zero":
-            g = np.full((n, k), -0.0)
+        g = _draw(rng, (n, k), *_POOLS[pool])
         with np.errstate(invalid="ignore"):
             for layout in (g, np.asfortranarray(g)):
                 assert network_module._column_sum(layout).tobytes() == layout.sum(axis=0).tobytes()
