@@ -11,6 +11,17 @@ for the blend ('mmelu'), a dict for everything else; make_params,
 params_doc and with_values convert and update them for the other
 modules.
 
+The blend's value and its vector-Jacobian product run over the C-order
+flattened input CHUNK values at a time, each chunk through the whole op
+sequence in buffers of one chunk allocated once per call: a conv layer's
+activation holds about a million values, and one elementwise pass over
+it streams through main memory, while a chunk and its buffers stay in L2
+cache.  The value and g * d/dx are elementwise, so they are bitwise the
+same for every CHUNK.  The (c, gamma, b) sums add one einsum per chunk
+in index order, so an input of CHUNK values or fewer (every MLP layer)
+gets exactly the single einsum over the whole array, and a larger one
+differs from it by summation order alone.
+
 Non-differentiable points use the subgradient-0 convention: at a kink the
 reported derivative is exactly 0 (``np.sign(0) == 0`` and strict inequalities
 do this naturally).  This only matters on a measure-zero set.
@@ -29,6 +40,10 @@ SELU_ALPHA = 1.67326
 # support (lower, upper) of the blend's trainable triple, None for an open
 # side; every value must also be finite
 ACT_BOUNDS = {"c": (0.0, 1.0), "gamma": (None, None), "b": (0.0, None)}
+
+# values per pass of the blend's kernels: the chunk and its few buffers
+# stay in L2 cache from one elementwise op to the next
+CHUNK = 32_768
 
 
 def in_bounds(name: str, value) -> bool:
@@ -97,18 +112,24 @@ def mmelu(x, p: ActivationParams):
     """Convex blend c * hat(x) + (1 - c) * ReLU(x).
 
     With c=0 this is exactly ReLU (bitwise: the hat term contributes +0.0).
-    Evaluated in place in two buffers, with the same operations in the
-    same order as c * mexican_hat(x, gamma, b) + (1 - c) * relu(x).
+    Evaluated in place, CHUNK values at a time, with the same operations in
+    the same order as c * mexican_hat(x, gamma, b) + (1 - c) * relu(x).
     """
     x = np.asarray(x, dtype=np.float64)
-    out = np.subtract(x, p.gamma, out=np.empty_like(x))
-    np.abs(out, out=out)
-    np.subtract(p.b, out, out=out)
-    np.maximum(out, 0.0, out=out)
-    out *= p.c
-    ramp = np.maximum(x, 0.0, out=np.empty_like(x))
-    ramp *= 1.0 - p.c
-    out += ramp
+    out = np.empty(x.shape)
+    o, xf = out.reshape(-1), x.reshape(-1)  # C order; a copy of a strided x
+    ramp = np.empty(min(xf.size, CHUNK))
+    for lo in range(0, xf.size, CHUNK):
+        xc = xf[lo:lo + CHUNK]
+        oc, rc = o[lo:lo + CHUNK], ramp[:len(xc)]
+        np.subtract(xc, p.gamma, out=oc)
+        np.abs(oc, out=oc)
+        np.subtract(p.b, oc, out=oc)
+        np.maximum(oc, 0.0, out=oc)
+        oc *= p.c
+        np.maximum(xc, 0.0, out=rc)
+        rc *= 1.0 - p.c
+        oc += rc
     return out[()]
 
 
@@ -134,38 +155,49 @@ def mmelu_grads(x, p: ActivationParams):
 def _mmelu_vjp(x, g, p, param_grads):
     # g * d/dx of the blend, bit-equal to g * mmelu_grads(x, p)[0] for c in
     # [0, 1], plus with param_grads the sums of g * d/dc, d/dgamma and d/db
-    # as dot products over the hat, the ReLU and the support mask.  Two
-    # float buffers: no np.where or np.sign, no per-parameter arrays.
-    t = np.subtract(x, p.gamma, out=np.empty_like(x))  # x - gamma
-    buf = np.empty_like(x)
-    sums = None
-    if param_grads:
-        g_flat = np.ascontiguousarray(g).reshape(-1)
+    # as dot products over the hat, the ReLU, the support mask and the
+    # slope.  One float and three bool buffers of a chunk: no np.where or
+    # np.sign, no per-parameter arrays.
+    out = np.empty(x.shape)
+    o, xf, gf = out.reshape(-1), x.reshape(-1), g.reshape(-1)
+    size = min(xf.size, CHUNK)
+    buf = np.empty(size)
+    inside, falling, rising = (np.empty(size, bool) for _ in range(3))
+    g_hat = g_ramp = g_inside = g_slope = 0.0  # einsum never gives -0.0
 
-        def dot(v):  # einsum, not BLAS: the sum does not depend on thread count
-            return float(np.einsum("i,i->", g_flat, v.reshape(-1)))
+    def dot(gc, v):  # einsum, not BLAS: the sum does not depend on thread count
+        return float(np.einsum("i,i->", gc, v))
 
-        np.abs(t, out=buf)
-        inside = buf < p.b
-        np.subtract(p.b, buf, out=buf)
-        np.maximum(buf, 0.0, out=buf)  # the hat
-        g_hat = dot(buf)
-        g_ramp = dot(np.maximum(x, 0.0, out=buf))
-        np.copyto(buf, inside)
-        sums = {"c": g_hat - g_ramp, "b": p.c * dot(buf)}
-    # -sign(x - gamma) on the support, +0.0 off it: (x - gamma) < b holds
-    # exactly when |x - gamma| < b does on its side of gamma
-    falling = t > 0
-    falling &= t < p.b
-    rising = t < 0
-    rising &= t > -p.b
-    np.subtract(rising, falling, out=t, dtype=np.float64)
-    if param_grads:
-        sums["gamma"] = -p.c * dot(t)
-    t *= p.c
-    t += np.multiply(x > 0, 1.0 - p.c, out=buf)  # +0.0 + +0.0 keeps zeros positive
-    np.multiply(g, t, out=t)
-    return t[()], sums
+    for lo in range(0, xf.size, CHUNK):
+        xc, gc, t = xf[lo:lo + CHUNK], gf[lo:lo + CHUNK], o[lo:lo + CHUNK]
+        n = len(xc)
+        bc, ic, fc, rc = buf[:n], inside[:n], falling[:n], rising[:n]
+        np.subtract(xc, p.gamma, out=t)
+        np.abs(t, out=bc)
+        np.less(bc, p.b, out=ic)
+        if param_grads:
+            np.subtract(p.b, bc, out=bc)
+            np.maximum(bc, 0.0, out=bc)  # the hat
+            g_hat += dot(gc, bc)
+            g_ramp += dot(gc, np.maximum(xc, 0.0, out=bc))
+            np.copyto(bc, ic)
+            g_inside += dot(gc, bc)
+        # -sign(x - gamma) on the support, +0.0 off it: on either side of
+        # gamma, |x - gamma| < b is (x - gamma) < b or (x - gamma) > -b
+        np.greater(t, 0, out=fc)
+        fc &= ic
+        np.less(t, 0, out=rc)
+        rc &= ic
+        np.subtract(rc, fc, out=t, dtype=np.float64)
+        if param_grads:
+            g_slope += dot(gc, t)
+        t *= p.c
+        np.greater(xc, 0, out=fc)
+        t += np.multiply(fc, 1.0 - p.c, out=bc)  # +0.0 + +0.0 keeps zeros positive
+        np.multiply(gc, t, out=t)
+    if not param_grads:
+        return out[()], None
+    return out[()], {"c": g_hat - g_ramp, "b": p.c * g_inside, "gamma": -p.c * g_slope}
 
 
 def melu_grid(k: int):

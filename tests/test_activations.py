@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from gibbsnn.activations import (
+    CHUNK,
     ActivationParams,
     activation_grads,
     activation_value,
@@ -18,6 +19,7 @@ from gibbsnn.activations import (
     mmelu,
     mmelu_grads,
     registered_names,
+    relu,
     trainable_names,
     with_values,
 )
@@ -185,6 +187,86 @@ class TestActivationGrads:
                 assert sums == {"c": 2.0 * (0.5 - 0.7), "gamma": 2.0 * 0.3, "b": 2.0 * 0.3}
                 got, sums = activation_grads("prelu", {"alpha": 0.25}, x, g)
                 assert got == 2.0 and sums == {"alpha": 0.0}
+
+
+def _single_einsum_sums(x, g, p):
+    """The blend's parameter sums as one einsum per term over the whole
+    flattened array: the kernel's result at CHUNK values or fewer."""
+    xf, gf = x.reshape(-1), g.reshape(-1)
+    d = xf - p.gamma
+    inside = np.abs(d) < p.b
+    slope = ((d < 0) & inside).astype(np.float64) - ((d > 0) & inside).astype(np.float64)
+
+    def dot(v):
+        return float(np.einsum("i,i->", gf, v))
+
+    return {"c": dot(mexican_hat(xf, p.gamma, p.b)) - dot(np.maximum(xf, 0.0)),
+            "b": p.c * dot(inside.astype(np.float64)), "gamma": -p.c * dot(slope)}
+
+
+def _bits(sums):
+    return {name: np.float64(v).tobytes() for name, v in sums.items()}
+
+
+class TestChunkBoundaries:
+    """The blend's kernels run CHUNK values at a time: the value and
+    g * d/dx stay byte-equal to the elementwise reference on either side of
+    every chunk boundary, and the sums gain one einsum per chunk."""
+
+    SIZES = (CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5)
+
+    def _arrays(self, rng, n, gamma, b):
+        # every kink and a signed-zero g on both sides of each boundary, and
+        # at both ends
+        kinks = np.array([0.0, -0.0, gamma, gamma - b, gamma + b])
+        x = rng.normal(scale=2.0, size=n)
+        g = rng.normal(size=n)
+        for edge in (0, *range(CHUNK, n, CHUNK), n):
+            for lo in (edge - len(kinks), edge):
+                if 0 <= lo <= n - len(kinks):
+                    x[lo:lo + len(kinks)] = kinks
+                    g[lo:lo + 4] = (-0.0, 0.0, -0.0, 0.0)
+        return x, g
+
+    def _check_bytes(self, p, x, g):
+        want_value = p.c * mexican_hat(x, p.gamma, p.b) + (1.0 - p.c) * relu(x)
+        assert np.asarray(mmelu(x, p)).tobytes() == want_value.tobytes()
+        want = g * mmelu_grads(x, p)[0]
+        for param_grads in (True, False):
+            got, _ = activation_grads("mmelu", p, x, g, param_grads)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), param_grads
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_bytes_and_sums(self, n):
+        rng = np.random.default_rng(n)
+        for c, gamma, b in TestActivationGrads.TRIPLES:
+            p = ActivationParams(c=c, gamma=gamma, b=b)
+            x, g = self._arrays(rng, n, gamma, b)
+            self._check_bytes(p, x, g)
+            _, sums = activation_grads("mmelu", p, x, g)
+            _, d_c, d_gamma, d_b = mmelu_grads(x, p)
+            for name, d in (("c", d_c), ("gamma", d_gamma), ("b", d_b)):
+                want = float(np.sum(g * d))
+                assert abs(sums[name] - want) <= 1e-12 * abs(want), (c, gamma, b, name)
+            if n <= CHUNK:
+                assert _bits(sums) == _bits(_single_einsum_sums(x, g, p)), (c, gamma, b)
+
+    def test_strided_and_0d(self):
+        """Strided and Fortran-order inputs whose C order holds the kinks at
+        the chunk boundaries, and a 0-d input: one chunk of one value."""
+        rng = np.random.default_rng(9)
+        p = ActivationParams(c=0.3, gamma=-0.4, b=0.7)
+        x, g = self._arrays(rng, 3 * CHUNK + 6, p.gamma, p.b)
+        spread_x, spread_g = np.zeros(2 * len(x)), np.zeros(2 * len(x))
+        spread_x[::2], spread_g[::2] = x, g
+        for xi, gi in ((spread_x[::2], spread_g[::2]),
+                       (np.asfortranarray(x.reshape(-1, 2)), np.asfortranarray(g.reshape(-1, 2))),
+                       (np.asarray(p.gamma + p.b), np.asarray(-0.0))):
+            self._check_bytes(p, xi, gi)
+        head = (np.asfortranarray(x[:CHUNK].reshape(-1, 2)),
+                np.asfortranarray(g[:CHUNK].reshape(-1, 2)))
+        _, sums = activation_grads("mmelu", p, *head)
+        assert _bits(sums) == _bits(_single_einsum_sums(x[:CHUNK], g[:CHUNK], p))
 
 
 class TestZoo:

@@ -10,6 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import gibbsnn.activations as activations_module
 import gibbsnn.network as network_module
 
 from gibbsnn.activations import ActivationParams, default_params, mmelu, registered_names
@@ -476,6 +477,39 @@ class TestInputGradientSkip:
             np.testing.assert_allclose(grad_act[name], fd, rtol=1e-4, atol=1e-7)
 
 
+class TestActivationChunking:
+    """The blend's kernels run activations_module.CHUNK values at a time:
+    on a conv net whose activation input spans several chunks, one chunk
+    covering the whole array moves only the parameter sums' rounding."""
+
+    @pytest.mark.parametrize("param_grads", [True, False])
+    def test_backward_invariant_to_chunk_size(self, monkeypatch, param_grads):
+        layers = [conv2d(8, 1), act("mmelu"), maxpool(), flatten(),
+                  dense(512, 6), act("mmelu"), dense(6, 3), softmax_layer()]
+        net = Network(NetworkSpec(layers, (16, 16, 1), 3))
+        rng = np.random.default_rng(8)
+        w = net.init_weights(rng)
+        p = ActivationParams(c=0.47, gamma=0.1, b=1.5)
+        x = rng.normal(size=(40, 16, 16, 1))
+        y = rng.integers(0, 3, size=40)
+        conv_out = 40 * 16 * 16 * 8
+        assert conv_out > 2 * activations_module.CHUNK
+        chunked = net.backward(w, p, x, y, param_grads=param_grads), net.forward(w, p, x)
+        monkeypatch.setattr(activations_module, "CHUNK", conv_out)
+        (grad_w, grad_act, loss), out = chunked
+        (whole_w, whole_act, whole_loss), whole_out = (
+            net.backward(w, p, x, y, param_grads=param_grads), net.forward(w, p, x))
+        assert np.float64(loss).tobytes() == np.float64(whole_loss).tobytes()
+        assert out.tobytes() == whole_out.tobytes()
+        for a, b in zip(grad_w, whole_w):
+            assert a.tobytes() == b.tobytes()
+        if not param_grads:
+            assert grad_act is None and whole_act is None
+            return
+        for name, want in whole_act.items():
+            assert abs(grad_act[name] - want) <= 1e-12 * abs(want), name
+
+
 def _traced_peak_mib(fn):
     tracemalloc.start()
     try:
@@ -487,10 +521,11 @@ def _traced_peak_mib(fn):
 
 class TestMemory:
     """Allocation sizes are deterministic, so tracemalloc's peak catches a
-    conv temporary that grows with the batch, or an activation or pool
-    temporary more than the fused kernels need.  The peaks are set by the
-    activation layer after the first conv; the per-block patch matrices
-    must stay below it."""
+    conv temporary that grows with the batch, an activation temporary
+    larger than one chunk, or a pool temporary more than the fused kernels
+    need.  The peaks are set by the input and output of the activation
+    layer after the first conv; the per-block patch matrices must stay
+    below them."""
 
     def test_cnn1_peaks(self):
         spec, dropout = cnn1()
@@ -508,9 +543,9 @@ class TestMemory:
         weights_only = _traced_peak_mib(
             lambda: net.backward(w, p, x, y, average=True, dropout=masks, param_grads=False))
         forward = _traced_peak_mib(lambda: net.forward(w, p, x64))
-        assert backward <= 44.3, backward
-        assert weights_only <= 37.4, weights_only
-        assert forward <= 37.2, forward
+        assert backward <= 29.9, backward
+        assert weights_only <= 29.4, weights_only
+        assert forward <= 25.2, forward
 
 
 def _loop_pool(h, g):
