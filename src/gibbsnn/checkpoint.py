@@ -9,10 +9,11 @@ hash, seed, package version).
 
 import hashlib
 import json
+import math
 
 import numpy as np
 
-from .activations import make_params, params_doc
+from .activations import ACT_BOUNDS, default_params, in_bounds, make_params, params_doc
 from .errors import FormatError, ShapeError
 from .model import HyperState, ModelState
 from .network import Network, NetworkSpec
@@ -42,11 +43,24 @@ def _state_doc(state: ModelState) -> dict:
     }
 
 
-def _state_from(doc, activation_name) -> ModelState:
-    hyper = doc["hyper"]
+def _state_from(doc, activation_name, path, where) -> ModelState:
+    # where names the state in messages: "state" or "chains[i].state"
+    hyper, act = doc["hyper"], doc["activation"]
+    if act is None:
+        raise FormatError(f"{path}: {where}.activation is null")
+    if isinstance(act, dict) and (missing := [k for k in default_params(activation_name)
+                                              if k not in act]):
+        raise FormatError(f"{path}: {where}.activation lacks {missing[0]!r}")
+    params = make_params(activation_name, act)
+    if activation_name == "mmelu":
+        for key, (lower, upper) in ACT_BOUNDS.items():
+            if not in_bounds(key, params[key]):
+                support = [-math.inf if lower is None else lower,
+                           math.inf if upper is None else upper]
+                raise FormatError(f"{path}: {where}.activation.{key} = {params[key]!r} "
+                                  f"lies outside its support {support}")
     return ModelState(
-        [np.asarray(wi, dtype=np.float64) for wi in doc["weights"]],
-        make_params(activation_name, doc["activation"]),
+        [np.asarray(wi, dtype=np.float64) for wi in doc["weights"]], params,
         None if hyper is None else HyperState(
             np.asarray(hyper["lam"], dtype=np.float64), hyper["lam_b"], hyper["sigma2"]))
 
@@ -82,8 +96,9 @@ def load_checkpoint(path) -> dict:
     per chain) and activation_name.  Keys that older files hold beyond these,
     such as a chain's rng_state, are ignored.  A network that does not
     compile or give class_count outputs, activation layers other than
-    activation_name, or weights or layer scales (lam) that do not fit the
-    network raise FormatError.
+    activation_name, activation parameters that are null, lack one of the
+    activation's keys or (for the blend) lie outside ACT_BOUNDS, or weights
+    or layer scales (lam) that do not fit the network raise FormatError.
     """
     with open(path) as fh:
         raw = fh.read()
@@ -101,10 +116,11 @@ def load_checkpoint(path) -> dict:
         out = {
             "network": net.spec,
             "activation_name": name,
-            "state": _state_from(doc["state"], name),
+            "state": _state_from(doc["state"], name, path, "state"),
             "iteration": doc["iteration"],
             "provenance": doc["provenance"],
-            "chains": [_state_from(ch["state"], name) for ch in doc.get("chains", [])],
+            "chains": [_state_from(ch["state"], name, path, f"chains[{i}].state")
+                       for i, ch in enumerate(doc.get("chains", []))],
         }
     except (KeyError, TypeError, ValueError, ShapeError) as exc:
         raise FormatError(f"{path}: malformed checkpoint: {exc!r}") from None

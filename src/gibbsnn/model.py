@@ -52,10 +52,10 @@ class HyperState:
     @property
     def in_support(self) -> bool:
         return (
-            bool((self.lam > 0.0).all())
+            bool(np.logical_and.reduce(self.lam > 0.0, axis=None))
             and self.lam_b > 0.0
             and self.sigma2 > 0.0
-            and bool(np.isfinite(self.lam).all())
+            and bool(np.logical_and.reduce(np.isfinite(self.lam), axis=None))
             and np.isfinite(self.lam_b)
             and np.isfinite(self.sigma2)
         )
@@ -80,7 +80,7 @@ class ModelState:
 
 def l1_norms(w: list) -> np.ndarray:
     """Per-layer sums of absolute weight values."""
-    return np.array([float(np.sum(np.abs(wi))) for wi in w])
+    return np.array([float(np.add.reduce(np.abs(wi), axis=None)) for wi in w])
 
 
 class BayesModel:
@@ -103,6 +103,8 @@ class BayesModel:
         self.loss_kind = loss_kind
         self.n_data = int(self.inputs.shape[0])
         self.targets = net.targets(self.labels)  # float, one-hot for class labels
+        # the energy kernel's gradient buffer (see energy_grad)
+        self._grad = np.empty(net.n_weights)
 
     # -- data term ----------------------------------------------------------
 
@@ -115,26 +117,39 @@ class BayesModel:
     def data_energy(self, w: list, act, subset=None) -> float:
         """Negative log-likelihood up to constants: the batch loss.
 
-        With subset (an index array) the subset loss is rescaled by
-        n_total/n_subset, an unbiased stand-in for the full-batch value.
+        w is a weight list that fits the network, such as a chain's own:
+        it is not checked again, and nor are the inputs and targets, which
+        were checked at construction.  With subset (an index array) the
+        subset loss is rescaled by n_total/n_subset, an unbiased stand-in
+        for the full-batch value.
         """
         if self.n_data == 0:
             return 0.0
         x, y, scale = self._batch(subset)
-        return scale * self.net.loss(w, act, x, y, self.loss_kind)
+        return scale * self.net._loss(w, act, x, y, self.loss_kind)
 
-    def energy_grad(self, w: list, act, subset=None):
-        """(energy, grad_w): the data term and its weight gradient under
-        the same scaling rules; the energy is bitwise what data_energy
-        returns.  Activation-parameter gradients are not computed.
+    def energy_grad(self, q, act, subset=None):
+        """(energy, gradient) of the data term at the flat weight vector q,
+        under data_energy's scaling rules; the energy is bitwise what
+        data_energy returns for q split by layer, and the gradient bitwise
+        Network.backward's, concatenated.  Activation-parameter gradients
+        are not computed.
+
+        The kernel reads each layer's weights as a view of q and writes
+        each layer's gradient into its slice of one buffer the model owns,
+        with no per-call checks of q, the inputs or the targets.  The
+        returned gradient is that buffer: it is valid until the next call,
+        so a caller that keeps it must copy it.
         """
         if self.n_data == 0:
-            return 0.0, [np.zeros_like(wi) for wi in w]
+            return 0.0, np.zeros(len(q))
         x, y, scale = self._batch(subset)
-        gw, _, loss = self.net.backward(w, act, x, y, self.loss_kind, param_grads=False)
+        g = self._grad
+        _, loss = self.net._backprop([q[s] for s in self.net.weight_slices], act, x, y,
+                                     self.loss_kind, False, None, False, g)
         if scale != 1.0:
-            gw = [scale * g for g in gw]
-        return scale * loss, gw
+            g *= scale
+        return scale * loss, g
 
     # -- joint density ------------------------------------------------------
 
@@ -161,8 +176,8 @@ class BayesModel:
         d, m = self.fixed.delta, self.fixed.mu
         norms = l1_norms(state.w)
         k = np.asarray(self.net.weight_lengths, dtype=np.float64)
-        lp = float(np.sum(-k * np.log(hyp.lam) - norms / hyp.lam))
-        lp += float(np.sum(-(1.0 + d) * np.log(hyp.lam) - m / hyp.lam))
+        lp = float(np.add.reduce(-k * np.log(hyp.lam) - norms / hyp.lam, axis=None))
+        lp += float(np.add.reduce(-(1.0 + d) * np.log(hyp.lam) - m / hyp.lam, axis=None))
         lp += -0.5 * np.log(hyp.sigma2) + self.act_log_prior("gamma", act.gamma, state)
         lp += -(1.0 + d) * np.log(hyp.sigma2) - m / hyp.sigma2
         lp += -np.log(hyp.lam_b) + self.act_log_prior("b", act.b, state)
@@ -241,7 +256,7 @@ class BayesModel:
             if layer is None:
                 raise ValueError("lambda_l conditional needs a layer index")
             w = state.w[layer]
-            return fixed.delta + w.size, fixed.mu + float(np.sum(np.abs(w)))
+            return fixed.delta + w.size, fixed.mu + float(np.add.reduce(np.abs(w), axis=None))
         if block == "lambda_b":
             b = state.act.b
             if b < ACT_BOUNDS["b"][0]:

@@ -19,12 +19,18 @@ Conventions
 * Network compiles its spec once into a layer table, one entry per layer.
   Each kind's compile function checks the input shape and gives the output
   shape, the (kernel, bias) shapes of a weighted layer, and a forward that
-  returns the layer's backward when recording.  forward, loss and backward
-  walk the table; backward stops at the first weighted layer, so the
-  gradient with respect to the network input is never computed.
+  returns the layer's backward when recording.  One walk of the table
+  (_forward, and _backprop for the gradient) serves every pass; backward
+  stops at the first weighted layer, so the gradient with respect to the
+  network input is never computed.
 * Per-layer weights live in flat vectors (kernel then bias); the list of
-  those vectors is the weight set W^1..W^L referenced by the priors.  Every
-  pass checks the list against the network's vector lengths.
+  those vectors is the weight set W^1..W^L referenced by the priors, and
+  weight_slices places them in one flat vector.  forward, loss and
+  backward check the input, the targets and the weight list, then walk;
+  BayesModel checks its data once and walks on views of one flat weight
+  vector.  Each weighted layer writes its gradient into its slice of a
+  flat gradient, and every walk checks each layer's output and gradient
+  for non-finite values.
 * Reductions along a short axis go by column: numpy dispatches its inner
   loop once per row there, so a 2-class softmax or a bias gradient over
   1500 rows paid 1500 dispatches for a few values each.  The softmax's
@@ -38,6 +44,7 @@ Conventions
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -148,11 +155,11 @@ def output_loss(out, targets, loss_kind: str, average: bool = False,
     scale = 1.0 / len(out) if average else 1.0
     if loss_kind == "squared-error":
         diff = out - targets
-        loss = float(np.sum(diff * diff)) * scale
+        loss = float(np.add.reduce(diff * diff, axis=None)) * scale
         return loss, (2.0 * diff * scale if grad else None)
     if loss_kind == "cross-entropy":
         p = np.maximum(out, _LOG_FLOOR)
-        loss = float(-np.sum(targets * np.log(p))) * scale
+        loss = float(-np.add.reduce(targets * np.log(p), axis=None)) * scale
         return loss, (-(targets / p) * scale if grad else None)
     raise ValueError(f"unknown loss kind {loss_kind!r}")
 
@@ -194,6 +201,8 @@ class Network:
         self._backward_stop = (first, 0 if below else first)
         self.weight_lengths = [math.prod(k) + math.prod(b) for k, b in self.weight_shapes]  # K_l
         self._vector_shapes = [(k,) for k in self.weight_lengths]
+        ends = list(itertools.accumulate(self.weight_lengths))
+        self.weight_slices = [slice(e - k, e) for k, e in zip(self.weight_lengths, ends)]
         self.n_weights = int(sum(self.weight_lengths))
         self.n_layers = len(self.weight_lengths)  # L in the prior
 
@@ -236,32 +245,38 @@ class Network:
     def forward(self, w: list, act_params, x: np.ndarray) -> np.ndarray:
         """Evaluate the network; accepts one sample or a batch."""
         h, _, single = self._batch(x)
-        h, _ = self._run(w, act_params, h, record=False)
+        self.check_weights(w)
+        h, _ = self._forward(w, act_params, h, record=False)
         return h[0] if single else h
 
     def loss(self, w, act_params, x, y, loss_kind: str = "cross-entropy",
              average: bool = False) -> float:
         """Batch loss only, no gradient bookkeeping."""
         h, yb, _ = self._batch(x, y)
-        out, _ = self._run(w, act_params, h, record=False)
-        return output_loss(out, yb, loss_kind, average)[0]
-
-    def _run(self, w, act_params, h, record: bool, dropout: dict | None = None):
-        # (output, each layer's backward when recording); dropout maps layer
-        # index -> mask applied to that layer's output (scaled by 1/keep)
         self.check_weights(w)
+        return self._loss(w, act_params, h, yb, loss_kind, average)
+
+    def _forward(self, w, act_params, h, record: bool, dropout: dict | None = None):
+        # the walk, for a batch h and a weight list w (views allowed)
+        # already checked: (output, each layer's backward when recording);
+        # dropout maps layer index -> mask applied to that layer's output
+        # (scaled by 1/keep)
         backwards = []
         for i, (kind, index, forward) in enumerate(self._table):
             h, backward = forward(h, None if index is None else w[index], act_params, record)
             backwards.append(backward)
             if dropout is not None and i in dropout:
                 h = h * dropout[i]
-            if not np.isfinite(h).all():
+            if not np.logical_and.reduce(np.isfinite(h), axis=None):
                 bad = h[~np.isfinite(h)]
                 raise NumericalError(
                     f"non-finite value {float(bad.flat[0])} after layer {i} ({kind})"
                 )
         return h, backwards
+
+    def _loss(self, w, act_params, h, y, loss_kind, average=False) -> float:
+        # _forward's loss: h and float targets y already batched
+        return output_loss(self._forward(w, act_params, h, False)[0], y, loss_kind, average)[0]
 
     # -- backward ---------------------------------------------------------
 
@@ -271,49 +286,58 @@ class Network:
         """Loss and gradients of the whole batch.
 
         Returns (grad_w, grad_act, loss) where grad_w mirrors the weight
-        set, grad_act maps each activation parameter name to its summed
-        gradient, and loss is the total (or per-sample mean) of the chosen
-        data term: squared-error sum_i (yhat_i - y_i)^2 or cross-entropy
-        -sum_i y_i log yhat_i.  dropout maps layer index to a mask applied
-        to that layer's output (training-time regularization path).
+        set (views of one fresh flat vector), grad_act maps each
+        activation parameter name to its summed gradient, and loss is the
+        total (or per-sample mean) of the chosen data term: squared-error
+        sum_i (yhat_i - y_i)^2 or cross-entropy -sum_i y_i log yhat_i.
+        dropout maps layer index to a mask applied to that layer's output
+        (training-time regularization path).
 
         Each activation layer makes one activation_grads call.  With
         param_grads=False it forms no parameter sums and grad_act is None;
         grad_w and loss are bitwise the same as with the full pass.
         """
         h, yb, _ = self._batch(x, y)
-        out, backwards = self._run(w, act_params, h, record=True, dropout=dropout)
-        loss, g = output_loss(out, yb, loss_kind, average, grad=True)
+        self.check_weights(w)
+        flat = np.empty(self.n_weights)
+        grad_act, loss = self._backprop(w, act_params, h, yb, loss_kind, average,
+                                        dropout, param_grads, flat)
+        return [flat[s] for s in self.weight_slices], grad_act, loss
 
-        grad_w = [np.zeros_like(wi) for wi in w]
+    def _backprop(self, w, act_params, h, y, loss_kind, average, dropout,
+                  param_grads, out):
+        # _forward and its backward: (grad_act, loss), each weighted layer
+        # writing its gradient into its weight_slices slice of out
+        h, backwards = self._forward(w, act_params, h, True, dropout)
+        loss, g = output_loss(h, y, loss_kind, average, grad=True)
         grad_act = {} if param_grads else None
         stop = self._backward_stop[bool(param_grads)]
         for i in range(len(self._table) - 1, stop - 1, -1):
             kind, index, _ = self._table[i]
             if dropout is not None and i in dropout:
                 g = g * dropout[i]
-            g, grad = backwards[i](g, i > stop, param_grads)
-            if index is not None:
-                grad_w[index] = grad
-            elif grad:
-                for name, d in grad.items():
+            g, sums = backwards[i](g, i > stop, param_grads,
+                                   None if index is None else out[self.weight_slices[index]])
+            if sums:
+                for name, d in sums.items():
                     grad_act[name] = grad_act.get(name, 0.0) + d
-            if not np.isfinite(g).all():
+            if not np.logical_and.reduce(np.isfinite(g), axis=None):
                 bad = g[~np.isfinite(g)]
                 raise NumericalError(
                     f"non-finite gradient {float(bad.flat[0])} at layer {i} ({kind})"
                 )
-        return grad_w, grad_act, loss
+        return grad_act, loss
 
 
 # -- the layer kinds -----------------------------------------------------------
 # compile(layer, input shape, "layer i (kind)", i, network being built) ->
 # (output shape, (kernel shape, bias shape) or None, forward), or ShapeError;
 # forward(h, flat weights, act_params, record) -> (output, backward or None);
-# backward(g, input_grad, param_grads) -> (input gradient, flat weight
-# gradient or activation parameter sums or None).  A backward holds only what
-# it reads (a pool's route, never its input); a weighted layer told
-# input_grad=False passes g on unchanged.
+# backward(g, input_grad, param_grads, out) -> (input gradient, activation
+# parameter sums or None), a weighted layer writing its flat weight gradient
+# into out (its slice of the network's flat gradient; the others take none).
+# A backward holds only what it reads (a pool's route, never its input); a
+# weighted layer told input_grad=False passes g on unchanged.
 
 
 def _widths(layer, where, form, kernel=()):
@@ -335,9 +359,11 @@ def _dense(layer, shape, where, *_):
 
     def forward(h, flat, act_params, record):
         W = flat[:nk].reshape(n_in, n_out)
-        def backward(g, input_grad, param_grads):
-            gW = h.reshape(-1, n_in).T @ g.reshape(-1, n_out)
-            return (g @ W.T if input_grad else g), np.concatenate([gW.ravel(), _column_sum(g)])
+        def backward(g, input_grad, param_grads, out):
+            np.matmul(h.reshape(-1, n_in).T, g.reshape(-1, n_out),
+                      out=out[:nk].reshape(n_in, n_out))
+            out[nk:] = _column_sum(g)
+            return (g @ W.T if input_grad else g), None
         return h @ W + flat[nk:], (backward if record else None)
 
     return (n_out,), ((n_in, n_out), (n_out,)), forward
@@ -353,9 +379,11 @@ def _conv2d(layer, shape, where, *_):
     def forward(h, flat, act_params, record):
         W = flat[:nk].reshape(kshape)
         xp = np.pad(h, ((0, 0), (1, 1), (1, 1), (0, 0)))
-        def backward(g, input_grad, param_grads):
+        def backward(g, input_grad, param_grads, out):
             gW, gb, gx = _conv_backward(xp, W, g, input_grad=input_grad)
-            return (gx if input_grad else g), np.concatenate([gW.ravel(), gb])
+            out[:nk].reshape(kshape)[...] = gW
+            out[nk:] = gb
+            return (gx if input_grad else g), None
         return _conv_forward(xp, W, flat[nk:]), (backward if record else None)
 
     return (shape[0], shape[1], out_c), (kshape, (out_c,)), forward
@@ -367,7 +395,7 @@ def _maxpool2x2(layer, shape, where, *_):
 
     def forward(h, flat, act_params, record):
         out, route = _maxpool_forward(h, record)
-        def backward(g, input_grad, param_grads):
+        def backward(g, input_grad, param_grads, out=None):
             return _maxpool_backward(g, route, (len(g),) + shape), None
         return out, (backward if record else None)
 
@@ -376,7 +404,7 @@ def _maxpool2x2(layer, shape, where, *_):
 
 def _flatten(layer, shape, *_):
     def forward(h, flat, act_params, record):
-        def backward(g, input_grad, param_grads):
+        def backward(g, input_grad, param_grads, out=None):
             return g.reshape((len(g),) + shape), None
         return h.reshape(len(h), -1), (backward if record else None)
 
@@ -392,7 +420,7 @@ def _activation(layer, shape, where, i, net):
         raise ShapeError(f"{where}: mixed activation names are not supported")
 
     def forward(h, flat, act_params, record):
-        def backward(g, input_grad, param_grads):
+        def backward(g, input_grad, param_grads, out=None):
             return activation_grads(name, act_params, h, g, param_grads)
         return activation_value(name, act_params, h), (backward if record else None)
 
@@ -408,7 +436,7 @@ def _softmax_output(layer, shape, where, i, net):
     def forward(h, flat, act_params, record):
         e = np.exp(h - _row_max(h))
         p = e / _row_sum(e)
-        def backward(g, input_grad, param_grads):
+        def backward(g, input_grad, param_grads, out=None):
             return p * (g - _row_sum(g * p)), None
         return p, (backward if record else None)
 
@@ -465,9 +493,9 @@ def _column_sum(g):
     """g.sum(axis=0) of a 2-D g: einsum adds each column top to bottom, as
     numpy does for a C-contiguous g of two or more columns.  One column, or
     another memory layout, which numpy may sum pairwise, falls back to
-    g.sum."""
+    numpy's own reduction."""
     if g.shape[1] < 2 or not g.flags.c_contiguous:
-        return g.sum(axis=0)
+        return np.add.reduce(g, axis=0)  # g.sum(axis=0) without its wrapper
     return np.einsum("ij->j", g)
 
 

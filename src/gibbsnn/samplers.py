@@ -133,7 +133,9 @@ def nshmc_step(q, rng, energy_grad, l1_scale, step, n_leapfrog):
 
     energy_grad is called n_leapfrog + 1 times, once per position: the
     first call gives the initial Hamiltonian's energy and the last the
-    final one's, so no separate energy evaluation is made.
+    final one's, so no separate energy evaluation is made.  Its gradient
+    is read before the next call and never kept, so energy_grad may
+    return one buffer that it overwrites on every call.
 
     Returns (q_new, info) with info keys: accepted, divergent, delta_h,
     accept_prob, energy (E at the returned point).  A trajectory whose
@@ -150,7 +152,7 @@ def nshmc_step(q, rng, energy_grad, l1_scale, step, n_leapfrog):
         return (qv - soft_threshold(qv, tau)) / mu
 
     e0, g = energy_grad(q)
-    h0 = e0 + float(np.sum(np.abs(q) / l1_scale)) + 0.5 * float(p @ p)
+    h0 = e0 + float(np.add.reduce(np.abs(q) / l1_scale, axis=None)) + 0.5 * float(p @ p)
     qn, e1 = q, e0
     g = g + envelope_grad(qn)
     for _ in range(n_leapfrog):
@@ -159,10 +161,10 @@ def nshmc_step(q, rng, energy_grad, l1_scale, step, n_leapfrog):
         e1, g = energy_grad(qn)
         g = g + envelope_grad(qn)
         p = p - 0.5 * step * g
-        if not np.isfinite(p).all():
+        if not np.logical_and.reduce(np.isfinite(p), axis=None):
             break
 
-    h1 = e1 + float(np.sum(np.abs(qn) / l1_scale)) + 0.5 * float(p @ p)
+    h1 = e1 + float(np.add.reduce(np.abs(qn) / l1_scale, axis=None)) + 0.5 * float(p @ p)
     dh = h1 - h0
 
     if not np.isfinite(dh) or abs(dh) > DIVERGENCE_THRESHOLD:
@@ -370,10 +372,10 @@ def _weight_move(move, model, chain, subset, eta, n_leapfrog):
         # a failed or non-finite evaluation reads as an infinite energy
         # and a NaN gradient, which the trajectory reports as divergent
         try:
-            e, gw = model.energy_grad(split_weights(qv, lengths), st.act, subset)
+            e, g = model.energy_grad(qv, st.act, subset)
         except NumericalError:
             return np.inf, np.full(qv.shape, np.nan)
-        return (e if np.isfinite(e) else np.inf), concat_weights(gw)
+        return (e if math.isfinite(e) else np.inf), g
 
     q1, info = nshmc_step(concat_weights(st.w), chain.rng, energy_grad,
                           np.repeat(st.hyper.lam, lengths), move.scale, n_leapfrog)

@@ -22,7 +22,7 @@ from gibbsnn.baseline import BaselineConfig
 from gibbsnn.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 from gibbsnn.data import Dataset, load_csv, write_csv, write_idx
 from gibbsnn.model import ModelState
-from gibbsnn.network import NetworkSpec, dense, softmax_layer
+from gibbsnn.network import NetworkSpec, act, dense, softmax_layer
 from gibbsnn.presets import cnn1
 from gibbsnn.samplers import SamplerConfig
 
@@ -520,6 +520,54 @@ class TestEvalCommand:
         code, _ = _run(["eval", "--config", cfg])
         assert code == EXIT_IO
         assert bad in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, key", [
+        (lambda doc: doc["state"].update(activation=None), "state.activation"),
+        (lambda doc: doc["chains"][1]["state"].update(activation=None),
+         "chains[1].state.activation"),
+        (lambda doc: doc["state"]["activation"].pop("b"), "'b'"),
+        (lambda doc: doc["state"]["activation"].update(c=-0.5), "state.activation.c"),
+        (lambda doc: doc["chains"][0]["state"]["activation"].update(b=-1.0),
+         "chains[0].state.activation.b"),
+    ], ids=["activation-null", "chain-activation-null", "b-missing", "c-negative",
+            "chain-b-negative"])
+    def test_activation_parameters_incomplete_or_off_support(self, train_run, tmp_path,
+                                                              capsys, edit, key):
+        """A trained mmelu checkpoint whose activation parameters are null,
+        lack a key, or put c or b off ACT_BOUNDS exits 3, naming the file
+        and the key, where the registry defaults used to fill in silently
+        and another model was evaluated."""
+        _, out, _ = train_run
+        doc = json.loads((out / "checkpoint.json").read_text())
+        edit(doc)
+        bad = _write(tmp_path / "edited.json", doc)
+        cfg = _write(tmp_path / "eval.json", {"checkpoint": bad,
+                                              "dataset": _train_doc()["dataset"],
+                                              "loss": "squared-error"})
+        code, _ = _run(["eval", "--config", cfg])
+        assert code == EXIT_IO
+        err = capsys.readouterr().err
+        assert bad in err and key in err
+
+    def test_negated_unbounded_parameters_stay_legitimate(self, train_run, tmp_path):
+        """gamma and prelu's alpha have no bounds: negated, each is another
+        valid model, which eval evaluates."""
+        _, out, _ = train_run
+        doc = json.loads((out / "checkpoint.json").read_text())
+        doc["state"]["activation"]["gamma"] = -doc["state"]["activation"]["gamma"] - 0.5
+        cfg = _write(tmp_path / "eval.json", {"checkpoint": _write(tmp_path / "g.json", doc),
+                                              "dataset": _train_doc()["dataset"],
+                                              "loss": "squared-error"})
+        assert _run(["eval", "--config", cfg])[0] == EXIT_OK
+
+        spec = NetworkSpec((dense(4, 2), act("prelu"), dense(2, 2), softmax_layer()), (4,), 2)
+        w = [np.linspace(-1.0, 1.0, 10), np.linspace(-1.0, 1.0, 6)]
+        path = tmp_path / "prelu.json"
+        ckpt.save_checkpoint(path, spec, ModelState(w, {"alpha": -0.25}, None), iteration=0,
+                             provenance={"seed": 0}, activation_name="prelu")
+        cfg = _write(tmp_path / "eval.json", {"checkpoint": str(path),
+                                              "dataset": _train_doc()["dataset"]})
+        assert _run(["eval", "--config", cfg])[0] == EXIT_OK
 
 
 class TestDiagCommand:

@@ -20,7 +20,8 @@ from gibbsnn.model import (
     init_state,
     l1_norms,
 )
-from gibbsnn.network import Network, NetworkSpec, act, dense, softmax_layer
+from gibbsnn.network import Network, NetworkSpec, act, concat_weights, dense, softmax_layer
+from gibbsnn.presets import cnn1, mlp
 from gibbsnn.samplers import SamplerConfig, mh_step, reflect_into
 
 
@@ -85,6 +86,65 @@ class TestDataEnergy:
                                    rtol=1e-12)
         half = model.data_energy(st.w, st.act, subset=np.arange(5))
         assert half != full  # rescaled estimate, not the exact value
+
+
+def _kernel_case(name):
+    """(network, inputs, labels, loss kind) of toy-linear's dense(2, 1)
+    model, criterion 7's 10-8-2 mmelu mlp and cnn1, on a few rows."""
+    rng = np.random.default_rng(30)
+    if name == "toy":
+        net = Network(NetworkSpec((dense(2, 1),), (2,), 1))
+        return net, rng.normal(size=(20, 2)), rng.normal(size=(20, 1)), "squared-error"
+    if name == "mlp":
+        return (Network(mlp(10, 2, (8,))[0]), rng.normal(size=(60, 10)),
+                rng.integers(0, 2, 60), "squared-error")
+    return Network(cnn1()[0]), rng.random((6, 28, 28, 1)), rng.integers(0, 10, 6), "cross-entropy"
+
+
+class TestEnergyKernel:
+    """BayesModel.energy_grad, the weight move's kernel, against the
+    public Network.loss / backward path it shares its walk with."""
+
+    @pytest.mark.parametrize("name", ["toy", "mlp", "cnn1"])
+    def test_matches_public_path_bit_for_bit(self, name):
+        """Repeated calls, the full batch then two subset sizes in a row and
+        back: E equals the rescaled Network.loss and data_energy, g the
+        rescaled Network.backward gradient concatenated, byte for byte."""
+        net, x, y, loss_kind = _kernel_case(name)
+        model = BayesModel(net, x, y, loss_kind=loss_kind)
+        rng = np.random.default_rng(31)
+        act_p = ActivationParams(c=0.4, gamma=-0.1, b=0.8)
+        buffer = None
+        for subset in (None, None, np.arange(0, len(x), 2), np.arange(1, len(x), 3), None):
+            w = [rng.normal(scale=0.3, size=k) for k in net.weight_lengths]
+            e, g = model.energy_grad(concat_weights(w), act_p, subset)
+            xs, ys = (x, y) if subset is None else (x[subset], y[subset])
+            scale = 1.0 if subset is None else len(x) / len(subset)
+            gw, _, loss = net.backward(w, act_p, xs, ys, loss_kind, param_grads=False)
+            assert e == scale * loss == scale * net.loss(w, act_p, xs, ys, loss_kind)
+            assert e == model.data_energy(w, act_p, subset)
+            assert g.tobytes() == concat_weights([scale * gi for gi in gw]).tobytes()
+            # the gradient is the model's one buffer, overwritten by each call
+            assert buffer is None or g is buffer
+            buffer = g
+
+    @pytest.mark.parametrize("name", ["toy", "mlp", "cnn1"])
+    def test_non_finite_input_raises_the_public_error(self, name):
+        net, x, y, loss_kind = _kernel_case(name)
+        x = x.copy()
+        x[1].flat[0] = np.inf
+        model = BayesModel(net, x, y, loss_kind=loss_kind)
+        w = net.init_weights(np.random.default_rng(32))
+        act_p = ActivationParams()
+        with pytest.raises(NumericalError) as want:
+            net.backward(w, act_p, x, y, loss_kind, param_grads=False)
+        with pytest.raises(NumericalError) as got:
+            model.energy_grad(concat_weights(w), act_p)
+        assert str(got.value) == str(want.value)
+        assert "after layer 0" in str(want.value)
+        with pytest.raises(NumericalError) as got:
+            model.data_energy(w, act_p)
+        assert str(got.value) == str(want.value)
 
 
 class TestSupport:

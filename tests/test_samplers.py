@@ -296,6 +296,30 @@ class TestNsHmc:
         assert outcomes == {True, False}
 
 
+    def test_gradient_buffer_may_be_reused(self):
+        """An energy_grad that overwrites and returns one buffer on every
+        call gives the same trajectory as one that returns fresh arrays:
+        nshmc_step never keeps a gradient past the next call."""
+        energy = lambda x: 0.5 * float(x @ x) + float(np.sum(np.cos(x)))
+        buffer = np.empty(3)
+
+        def shared(x):
+            np.subtract(x, np.sin(x), out=buffer)
+            return energy(x), buffer
+
+        runs = []
+        for energy_grad in (lambda x: (energy(x), x - np.sin(x)), shared):
+            rng = np.random.default_rng(15)
+            q, steps = np.array([0.4, -1.2, 2.0]), []
+            for _ in range(200):
+                q, info = nshmc_step(q, rng, energy_grad, l1_scale=1.5, step=0.9,
+                                     n_leapfrog=4)
+                steps.append((q.tobytes(), info))
+            runs.append(steps)
+        assert runs[0] == runs[1]
+        assert {info["accepted"] for _, info in runs[0]} == {True, False}
+
+
 class TestWeightMove:
     """The weight move inside gibbs_sweep, on the full batch."""
 
